@@ -6,8 +6,6 @@
 //! Uses the offline `vr_bench::micro` harness (`harness = false`) so
 //! the workspace carries no registry dependencies.
 
-use std::sync::Mutex;
-
 use vr_bench::micro::{black_box, Runner};
 use vr_chip::{Chip, ChipConfig, CoreSlot};
 use vr_core::wakeup::{WakeupLists, NO_LINK};
@@ -281,11 +279,8 @@ fn bench_wakeup_lists() {
 }
 
 /// The shared-LLC broker hot path (DESIGN.md §17): one `access_line`
-/// through an owned `&mut` (the install/take protocol the chip uses)
-/// vs the same access behind the per-access `Mutex` of the original
-/// design. Both locks are uncontended — the comparison isolates the
-/// pure lock/unlock tax the ownership move removed, which the chip
-/// pays once per *core memory access*.
+/// through an owned `&mut` (the install/take protocol the chip uses),
+/// on a hit and on a streaming miss.
 fn bench_shared_llc() {
     let r = Runner::new("shared_llc");
     let mem_cfg = MemConfig::table1();
@@ -319,26 +314,15 @@ fn bench_shared_llc() {
         black_box(owned.access_line((i & 3) as u32, 0x10_0000 + i * line, now))
     });
 
-    let mut inner = Box::new(SharedLlc::new(cfg));
-    warm(&mut inner);
-    let locked = Mutex::new(inner);
-    let mut now2 = u64::MAX / 2;
-    let mut j = 0u64;
-    r.bench("hit_mutexed", || {
-        now2 += 100;
-        j = (j + 1) & 0x3f;
-        black_box(locked.lock().unwrap().access_line((j & 3) as u32, 0x10_0000 + j * line, now2))
-    });
-
     // The miss path for scale: DRAM queueing + MSHR pool bookkeeping
-    // dominate here, so the lock tax matters proportionally less.
+    // dominate here.
     let mut cold = Box::new(SharedLlc::new(cfg));
     let mut addr = 0u64;
-    let mut now3 = u64::MAX / 2;
+    let mut now2 = u64::MAX / 2;
     r.bench("streaming_miss_owned", || {
-        now3 += 400;
+        now2 += 400;
         addr += line;
-        black_box(cold.access_line(0, 0x4000_0000 + addr, now3))
+        black_box(cold.access_line(0, 0x4000_0000 + addr, now2))
     });
 }
 

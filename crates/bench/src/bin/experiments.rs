@@ -26,6 +26,7 @@ use vr_bench::{
 };
 use vr_core::{harmonic_mean, CoreConfig, RunaheadConfig, Simulator};
 use vr_mem::{HitLevel, MemConfig, Requestor};
+use vr_obs::Json;
 use vr_workloads::{gap_suite, graph::GraphPreset, Scale, Workload};
 
 struct Opts {
@@ -59,10 +60,6 @@ struct Opts {
     /// `--spool DIR`: drain `campaign serve` manifests from `*.json`
     /// files in DIR instead of reading lines from stdin.
     spool: Option<PathBuf>,
-    /// `--chip-threads N`: worker threads for stepping each multi-core
-    /// chip point (default 1 = sequential; bit-identical stats at any
-    /// value).
-    chip_threads: usize,
 }
 
 /// One dispatchable subcommand: the id `main` matches on, the help
@@ -144,8 +141,6 @@ fn usage() -> String {
          \x20 --shards N    total shard count for `campaign serve` (default 1)\n\
          \x20 --shard I     this process's shard index for `campaign serve` (default 0)\n\
          \x20 --spool DIR   `campaign serve` drains *.json manifests from DIR instead of stdin\n\
-         \x20 --chip-threads N  threads for stepping each multi-core chip point (default 1;\n\
-         \x20               stats are bit-identical at any value)\n\
          \nthe `trace` id takes a positional workload name (see its error text \
          for the available names); `campaign` takes a positional action \
          (run, serve, status, verify, gc) and requires --cache DIR. `campaign \
@@ -182,7 +177,6 @@ fn main() {
     let mut shards: u32 = 1;
     let mut shard: u32 = 0;
     let mut spool: Option<PathBuf> = None;
-    let mut chip_threads: usize = 1;
     let mut it = args.iter().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -287,15 +281,6 @@ fn main() {
                     }
                 };
             }
-            "--chip-threads" => {
-                chip_threads = match it.next().and_then(|v| v.parse().ok()) {
-                    Some(n) if n >= 1 => n,
-                    _ => {
-                        eprintln!("error: --chip-threads requires a positive integer");
-                        std::process::exit(2);
-                    }
-                };
-            }
             "--all-inputs" => presets = GraphPreset::ALL.to_vec(),
             "--quick" => {
                 scale = Scale::Test;
@@ -346,7 +331,6 @@ fn main() {
         shards,
         shard,
         spool,
-        chip_threads,
     };
 
     if let Some(dir) = &cache_dir {
@@ -544,7 +528,6 @@ fn campaign_cmd(opts: &Opts) -> Vec<Report> {
             let cfg = EngineConfig {
                 threads: opts.threads,
                 point_deadline: opts.point_deadline_ms.map(std::time::Duration::from_millis),
-                chip_threads: opts.chip_threads,
                 ..EngineConfig::default()
             };
             let sink = |ev: &ProgressEvent<'_>| {
@@ -642,7 +625,6 @@ fn campaign_cmd(opts: &Opts) -> Vec<Report> {
                 engine: EngineConfig {
                     threads: opts.threads,
                     point_deadline: opts.point_deadline_ms.map(std::time::Duration::from_millis),
-                    chip_threads: opts.chip_threads,
                     ..EngineConfig::default()
                 },
                 shard,
@@ -1370,11 +1352,11 @@ fn fig_chip(opts: &Opts) -> Vec<Report> {
     // lockstep internally, so the fan-out axis is the point list.
     let runs = parallel_map(&points, opts.threads, |p| {
         eprintln!("  [run] {} …", p.label);
-        run_chip_point(p, opts.chip_threads)
+        run_chip_point(p)
     });
 
-    // Chip-level fast-forward telemetry (a `vr-telemetry-v1`
-    // attachment in the JSON export): how the chip *simulated*, never
+    // Chip-level fast-forward telemetry (the `chip_ff` attachment in
+    // the JSON export): how the chip *simulated*, never
     // what it simulated — the figure's tables and stored records are
     // byte-identical with or without it. A direct probe run of one
     // representative 4-core point, because store-hit points skip
@@ -1395,15 +1377,10 @@ fn fig_chip(opts: &Opts) -> Vec<Report> {
             })
             .collect();
         let mut chip = vr_chip::Chip::new(p.chip, p.core.clone(), p.mem.clone(), slots);
-        chip.set_threads(opts.chip_threads);
         if chip.try_run(p.max_insts).is_ok() {
             let mut j = chip.telemetry().to_json();
-            if let vr_obs::Json::Obj(fields) = &mut j {
-                fields.insert(0, ("point".into(), vr_obs::Json::Str(p.label.clone())));
-                fields.insert(
-                    1,
-                    ("chip_threads".into(), vr_obs::Json::U64(opts.chip_threads as u64)),
-                );
+            if let Json::Obj(fields) = &mut j {
+                fields.insert(0, ("point".into(), Json::Str(p.label.clone())));
             }
             r.attach("chip_ff", j);
         }
@@ -1501,8 +1478,8 @@ fn table_hw(_opts: &Opts) -> Vec<Report> {
 /// runs the workload with both the pipeline trace and the episode
 /// telemetry enabled, asserts the trace is well-ordered, and renders
 /// the commit window with runahead episodes annotated (`<RA>` rows,
-/// `== runahead episode ==` separators). The full `vr-telemetry-v1`
-/// document is attached to the JSON export.
+/// `== runahead episode ==` separators). The full telemetry document
+/// is attached to the JSON export as `telemetry`.
 fn trace_cmd(opts: &Opts) -> Vec<Report> {
     use vr_core::PipelineTrace;
     const TRACE_WINDOW: usize = 64;
@@ -1607,6 +1584,11 @@ fn trace_cmd(opts: &Opts) -> Vec<Report> {
 
 // ------------------------------------------------------------- perf report
 
+/// A KIPS figure rounded to 0.1 for the perf report.
+fn kips1(kips: f64) -> Json {
+    Json::F64((kips * 10.0).round() / 10.0)
+}
+
 /// Simulator-throughput regression harness (not a paper artifact).
 ///
 /// Measures, per workload and technique, how many committed
@@ -1637,7 +1619,7 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
     runner.samples = 5;
     runner.sample_time = Duration::from_millis(20);
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"schema\": \"vr-bench-perf-report-v5\",");
+    let _ = writeln!(json, "  \"schema\": \"vr-bench-perf-report-v6\",");
     let _ = writeln!(json, "  \"insts_per_run\": {},", opts.insts);
     let _ = writeln!(json, "  \"threads\": {},", opts.threads);
     json.push_str("  \"kips\": [\n");
@@ -1716,7 +1698,7 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
              {ratio_skipped} ratio value(s) skipped (HOLE points?)"
         );
     }
-    // --- multi-core chip throughput (schema v5, DESIGN.md §16–17):
+    // --- multi-core chip throughput (schema v6, DESIGN.md §16–17):
     // homogeneous VR chip points timed end to end, N ∈ {2, 4, 8}. The
     // cores run in lockstep inside one wall-clock window, so every
     // per-core KIPS shares the denominator and the 4-core aggregate is
@@ -1727,7 +1709,7 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
     // KIPS regression can be localized without re-running anything.
     {
         let w = vr_workloads::hpcdb::kangaroo(opts.scale);
-        let mut primary: Option<(Vec<f64>, f64)> = None;
+        let mut primary = None;
         let mut scaling = Vec::new();
         let mut ff_json = None;
         let mut ct = Table::new(&["cores", "insts/core", "KIPS/core", "chip KIPS"]);
@@ -1746,7 +1728,6 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
                 MemConfig::table1(),
                 slots,
             );
-            chip.set_threads(opts.chip_threads);
             let t0 = Instant::now();
             let run = chip.try_run(opts.insts).unwrap_or_else(|e| {
                 eprintln!("error: chip perf point ({cores} cores): {e}");
@@ -1764,37 +1745,27 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
                 format!("{aggregate:.0}"),
             ]);
             eprintln!("  [chip] {cores}-core VR chip: {aggregate:.0} aggregate KIPS");
-            let per_core_json =
-                per_core.iter().map(|k| format!("{k:.1}")).collect::<Vec<_>>().join(", ");
+            let point = vec![
+                ("cores".into(), Json::U64(cores as u64)),
+                ("per_core".into(), Json::Arr(per_core.iter().map(|&k| kips1(k)).collect())),
+                ("aggregate".into(), kips1(aggregate)),
+            ];
             if cores == 4 {
                 rep.metric("chip_kips", aggregate);
-                ff_json = Some(chip.telemetry().to_json().to_pretty());
-                primary = Some((per_core, aggregate));
+                ff_json = Some(chip.telemetry().to_json());
+                primary = Some(point);
             } else {
                 rep.metric(&format!("chip_kips_n{cores}"), aggregate);
-                scaling.push(format!(
-                    "{{\"cores\": {cores}, \"per_core\": [{per_core_json}], \
-                     \"aggregate\": {aggregate:.1}}}"
-                ));
+                scaling.push(Json::Obj(point));
             }
         }
         rep.push_table("chip", ct);
-        let (per_core, chip_kips) = primary.expect("the 4-core chip point always runs");
-        let per_core_json =
-            per_core.iter().map(|k| format!("{k:.1}")).collect::<Vec<_>>().join(", ");
-        // The telemetry sub-object is compacted onto one line (it is
-        // machine-read; `to_pretty` of a small object stays short).
-        let ff = ff_json.expect("telemetry captured with the 4-core point");
-        let _ = writeln!(
-            json,
-            "  \"chip_kips\": {{\"cores\": 4, \"insts_per_core\": {}, \
-             \"per_core\": [{per_core_json}], \"aggregate\": {chip_kips:.1}, \
-             \"chip_threads\": {}, \"scaling\": [{}], \"chip_ff\": {}}},",
-            opts.insts,
-            opts.chip_threads,
-            scaling.join(", "),
-            ff.replace('\n', " ")
-        );
+        let mut chip_kips = primary.expect("the 4-core chip point always runs");
+        chip_kips.insert(1, ("insts_per_core".into(), Json::U64(opts.insts)));
+        chip_kips.push(("scaling".into(), Json::Arr(scaling)));
+        chip_kips
+            .push(("chip_ff".into(), ff_json.expect("telemetry captured with the 4-core point")));
+        let _ = writeln!(json, "  \"chip_kips\": {},", Json::Obj(chip_kips));
     }
     // Result-store effectiveness for this process (zeros when no
     // --cache was given): CI trends hit rates alongside throughput.
@@ -1846,7 +1817,6 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
             shards: 1,
             shard: 0,
             spool: None,
-            chip_threads: 1,
         };
         let timed = |o: &Opts| {
             vr_bench::reset_parallel_region();

@@ -279,15 +279,10 @@ pub fn run_custom(
 /// the decomposed per-core + chip records, a poisoned point degrades
 /// to a [`hole_chip_run`] (noted in [`cache::holes`]), a fresh failure
 /// is poisoned and degraded, and with no store a failure panics.
-/// `chip_threads` parallelizes core stepping inside the point
-/// ([`vr_chip::Chip::set_threads`]); it cannot change the result, so
-/// it does not participate in the store key.
-pub fn run_chip_point(p: &vr_campaign::ChipPoint, chip_threads: usize) -> vr_chip::ChipRun {
+pub fn run_chip_point(p: &vr_campaign::ChipPoint) -> vr_chip::ChipRun {
     use vr_campaign::{ExecCtx, Executor, SimExecutor, SweepPoint};
-    let execute = || {
-        SimExecutor
-            .execute(p, &ExecCtx { attempt: 0, stop: vr_core::StopFlag::new(), chip_threads })
-    };
+    let execute =
+        || SimExecutor.execute(p, &ExecCtx { attempt: 0, stop: vr_core::StopFlag::new() });
     let Some(store) = cache::active() else {
         return execute().unwrap_or_else(|e| panic!("{e}"));
     };

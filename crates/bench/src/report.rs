@@ -6,7 +6,7 @@
 //! the text output by construction — there is no second formatting
 //! path to drift. The JSON document is versioned
 //! ([`EXPERIMENTS_SCHEMA`], see DESIGN.md §10); telemetry sections
-//! attach under their own `vr-telemetry-v1` sub-schema.
+//! attach as named members of their report, versioned by that tag.
 
 use std::path::Path;
 
@@ -81,8 +81,8 @@ impl Report {
         self.metrics.push((name.to_string(), v));
     }
 
-    /// Attaches an arbitrary JSON sub-document (e.g. a
-    /// `vr-telemetry-v1` section).
+    /// Attaches an arbitrary JSON sub-document (e.g. a telemetry
+    /// section) under `name`.
     pub fn attach(&mut self, name: &str, j: Json) {
         self.extra.push((name.to_string(), j));
     }

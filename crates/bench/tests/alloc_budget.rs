@@ -220,56 +220,4 @@ fn main() {
         tel.ff_windows,
         tel.ff_cycles_skipped,
     );
-
-    // ---- Parallel chip stepping (DESIGN.md §17): `--chip-threads`
-    // moves the quiescent cores' fast-forwards onto the persistent
-    // worker pool. The pool broadcast is a borrowed `&dyn Fn` with a
-    // condvar handshake — no boxing, no channels — so the steady state
-    // must stay at zero heap ops with workers engaged. The pool itself
-    // (and the round's scratch index vectors) is warmup-phase state:
-    // `set_threads` precedes the counters.
-    let slots: Vec<CoreSlot> = (0..4)
-        .map(|_| {
-            let (prog, mem) = indirect_kernel(1 << 19);
-            CoreSlot {
-                ra: RunaheadConfig::vector(),
-                program: prog,
-                memory: mem,
-                init_regs: vec![(Reg::A0, 0x100_0000), (Reg::A1, 0x4000_0000)],
-            }
-        })
-        .collect();
-    let mut chip =
-        Chip::new(ChipConfig::with_cores(4), CoreConfig::table1(), MemConfig::table1(), slots);
-    chip.set_threads(2);
-    while chip.step(CHIP_WARMUP_INSTS).expect("parallel chip warmup") {}
-
-    let ops_before = ALLOC.heap_ops();
-    let bytes_before = ALLOC.bytes_allocated();
-    while chip.step(CHIP_ROI_END_INSTS).expect("parallel chip ROI") {}
-    let par_ops = ALLOC.heap_ops() - ops_before;
-    let par_bytes = ALLOC.bytes_allocated() - bytes_before;
-
-    let tel = chip.telemetry();
-    assert!(
-        tel.par_cycles > 0 && tel.par_core_steps > 0,
-        "parallel ROI never broadcast a fast-forward round to the pool (rounds {}, core steps \
-         {}) — gate does not cover the path",
-        tel.par_cycles,
-        tel.par_core_steps
-    );
-    assert_eq!(
-        par_ops,
-        0,
-        "parallel 4-core chip steady state performed {par_ops} heap acquisitions ({par_bytes} \
-         bytes) across {} committed instructions per core — the allocation budget is zero",
-        CHIP_ROI_END_INSTS - CHIP_WARMUP_INSTS
-    );
-    println!(
-        "alloc budget OK (4-core chip, 2 threads): 0 heap ops across {} insts/core, {} pool \
-         rounds ({} pooled fast-forwards)",
-        CHIP_ROI_END_INSTS - CHIP_WARMUP_INSTS,
-        tel.par_cycles,
-        tel.par_core_steps,
-    );
 }

@@ -7,7 +7,7 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use vr_obs::Json;
+use vr_obs::{Fnv64, Json};
 
 fn experiments(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_experiments")).args(args).output().expect("spawn experiments")
@@ -470,6 +470,35 @@ fn fig_chip_fail_point_degrades_to_holes_and_recovers() {
     std::fs::remove_dir_all(&store).ok();
 }
 
+/// Pins the multi-core figure's output by digest: its stdout and the
+/// `tables` of every report in its `--json` export. Any change to chip
+/// stepping, the shared-LLC broker or the figure's rendering that moves
+/// a single byte fails here. Telemetry attachments and run metadata
+/// (thread count, timings) are deliberately outside the pin.
+#[test]
+fn fig_chip_output_is_pinned_by_digest() {
+    const STDOUT_DIGEST: u64 = 0x1956_2218_92ef_9397;
+    const TABLES_DIGEST: u64 = 0xad4f_fd7d_a397_1b9c;
+    let path = tmp("fig-chip-pin.json");
+    let o =
+        experiments(&["fig-chip", "--quick", "--insts", "20000", "--json", path.to_str().unwrap()]);
+    assert!(o.status.success(), "stderr: {}", stderr(&o));
+    let doc = Json::parse(&std::fs::read_to_string(&path).expect("json written")).unwrap();
+    std::fs::remove_file(&path).ok();
+    let mut tables = Fnv64::new();
+    for report in doc.get("reports").and_then(Json::as_arr).expect("reports") {
+        tables.write_str(&report.get("tables").expect("tables").to_string());
+    }
+    let got = (Fnv64::new().str(&stdout(&o)).finish(), tables.finish());
+    assert_eq!(
+        got,
+        (STDOUT_DIGEST, TABLES_DIGEST),
+        "fig-chip output moved (stdout, tables digests: {:#018x}, {:#018x})",
+        got.0,
+        got.1
+    );
+}
+
 #[test]
 fn perf_report_exports_cache_counters() {
     // Run in a scratch cwd so BENCH_sim.json does not land in the
@@ -485,7 +514,7 @@ fn perf_report_exports_cache_counters() {
     let doc = Json::parse(&std::fs::read_to_string(dir.join("BENCH_sim.json")).unwrap())
         .expect("BENCH_sim.json parses");
     std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("vr-bench-perf-report-v5"));
+    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("vr-bench-perf-report-v6"));
     // v4 additions (DESIGN.md §16): multi-core chip throughput — one
     // aggregate `chip_kips` plus a per-core breakdown whose entries
     // share the lockstep wall-clock window.
@@ -518,7 +547,6 @@ fn perf_report_exports_cache_counters() {
     for field in ["ff_windows", "ff_cycles_skipped", "episode_steps", "broker_installs"] {
         assert!(ff.get(field).and_then(Json::as_u64).is_some(), "chip_ff missing {field}: {ff:?}");
     }
-    assert_eq!(chip.get("chip_threads").and_then(Json::as_u64), Some(1));
     // v2 additions (DESIGN.md §14): per-workload VR/OoO throughput
     // ratio and its harmonic mean.
     let ratios = doc.get("vr_ooo_kips_ratio").expect("vr_ooo_kips_ratio section");

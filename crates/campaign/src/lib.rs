@@ -26,6 +26,7 @@
 //! registry dependencies, like the rest of the workspace.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 #[cfg(feature = "chaos")]
 pub mod chaos;
@@ -43,9 +44,6 @@ pub use engine::{
     StatusReport, SweepPoint, POISON_DEADLINE_TRIPS,
 };
 pub use fingerprint::{point_key, PointKey, CODE_SALT};
-// The worker pool moved to its own crate (`vr-pool`) so `vr-chip`
-// can step cores on it without a dependency cycle; re-exported here
-// for the existing `vr_campaign::WorkerPool` users.
 pub use serial::{chip_stats_from_json, chip_stats_to_json, stats_from_json, stats_to_json};
 pub use serve::{
     serve_lines, serve_spool, shard_of, Manifest, PointSet, ServeConfig, ServeSummary, ShardSpec,
@@ -54,6 +52,9 @@ pub use store::{
     snapshot_records, GcReport, PoisonRecord, ResultStore, StoreCounters, VerifyReport,
     TMP_GC_GRACE,
 };
+// The worker pool lives in its own crate (`vr-pool`), which confines
+// its one `unsafe` (the lifetime-erased job pointer) to that crate;
+// re-exported here for the `vr_campaign::WorkerPool` users.
 pub use vr_pool::WorkerPool;
 
 /// Unique-per-call nonce for test scratch directories (process id is

@@ -102,11 +102,6 @@ pub struct Manifest {
     /// Graph-preset abbreviations for the full-set figures (empty
     /// means the enumerate closure's default).
     pub presets: Vec<String>,
-    /// Threads for stepping each multi-core chip point this manifest
-    /// enumerates ([`EngineConfig::chip_threads`]); `None` keeps the
-    /// serve process's configured value. An execution knob only: chip
-    /// stats are bit-identical at any value.
-    pub chip_threads: Option<usize>,
 }
 
 impl Manifest {
@@ -156,14 +151,7 @@ impl Manifest {
             None => format!("{figure}@{insts}"),
             Some(v) => v.as_str().ok_or(r#"manifest "id" must be a string"#)?.to_string(),
         };
-        let chip_threads = match doc.get("chip_threads") {
-            None => None,
-            Some(v) => match v.as_u64() {
-                Some(n) if n >= 1 => Some(n as usize),
-                _ => return Err(r#"manifest "chip_threads" must be a positive integer"#.into()),
-            },
-        };
-        Ok(Manifest { id, figure, insts, scale, presets, chip_threads })
+        Ok(Manifest { id, figure, insts, scale, presets })
     }
 }
 
@@ -385,13 +373,6 @@ fn serve_one<E: Executor + Executor<ChipPoint>>(
             )
         }
         Ok((points, manifest)) => {
-            // A manifest may pin its own chip-stepping thread count;
-            // otherwise the serve process's configuration applies.
-            let mut cfg = *cfg;
-            if let Some(ct) = manifest.chip_threads {
-                cfg.engine.chip_threads = ct;
-            }
-            let cfg = &cfg;
             // Sharding, driving and outcome accounting are identical
             // for both point kinds — only the static type differs.
             let (enumerated, outcome) = match points {
@@ -534,7 +515,6 @@ mod tests {
                 insts: 5000,
                 scale: "quick".into(),
                 presets: vec![],
-                chip_threads: None,
             }
         );
         let full = format!(
@@ -543,6 +523,12 @@ mod tests {
         let m = Manifest::parse(&full).unwrap();
         assert_eq!((m.id.as_str(), m.scale.as_str()), ("x", "paper"));
         assert_eq!(m.presets, ["KR", "UR"]);
+        // Unknown keys are ignored, so manifests carrying fields that
+        // older writers set (or newer ones add) still parse.
+        let extra = format!(
+            r#"{{"schema":"{MANIFEST_SCHEMA}","figure":"fig-chip","insts":7,"retired_knob":2}}"#
+        );
+        assert_eq!(Manifest::parse(&extra).unwrap().figure, "fig-chip");
 
         for bad in [
             "not json",

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # vr-chip
 //!
 //! Multi-core chip simulation: N per-core [`vr_core::Simulator`]s
@@ -26,11 +27,12 @@
 //! ## Chip-level fast-forward (the event horizon)
 //!
 //! Executing that schedule tick-by-tick wastes most of its time on
-//! provable no-ops. Instead, each chip round asks every core at the
-//! **minimum** core clock for its
-//! [`vr_core::Simulator::lockstep_horizon`] — the earliest future
-//! cycle at which it could possibly act (next completion event,
-//! dispatch gate, runahead-engine event, watchdog deadline). A
+//! provable no-ops. Instead, each chip round advances every core at
+//! the **minimum** core clock with
+//! [`vr_core::Simulator::lockstep_advance`], which first computes the
+//! core's *horizon* — the earliest future cycle at which it could
+//! possibly act (next completion event, dispatch gate,
+//! runahead-engine event, watchdog deadline). A
 //! quiescent core *fast-forwards*: it bulk-applies exactly the
 //! per-cycle stats its skipped no-op ticks would have recorded, jumps
 //! its clock to the horizon, and then sleeps — it is not stepped
@@ -49,13 +51,7 @@
 //! so the broker needs no `Mutex`: the chip *owns* the
 //! [`SharedLlc`] in a `Box` and moves it into the stepping core's
 //! hierarchy before its tick, taking it back after — every access is
-//! an uncontended `&mut`. [`Chip::set_threads`] enables opt-in
-//! parallel stepping: each round's quiescent cores apply their
-//! fast-forward windows (pure per-core state, no shared reads or
-//! writes) concurrently on a persistent [`vr_pool::WorkerPool`],
-//! while cores that may act keep the sequential core-index-order walk
-//! with the broker installed — stats stay bit-identical at any thread
-//! count.
+//! an uncontended `&mut`.
 //!
 //! Each core independently enters and leaves runahead episodes;
 //! per-core [`SimStats`] stay separate and [`ChipStats`] aggregates
@@ -91,7 +87,6 @@ use vr_core::{
 use vr_isa::{Memory, Program, Reg};
 use vr_mem::{MemConfig, SharedLlc, SharedLlcConfig};
 use vr_obs::{Fnv64, Json};
-use vr_pool::WorkerPool;
 
 /// Chip-level configuration: core count plus the shared-LLC knobs
 /// that have no per-core analogue. The shared L3 geometry and DRAM
@@ -201,11 +196,6 @@ pub struct ChipTelemetry {
     /// of lock acquisitions: one per core-step that could touch the
     /// shared LLC).
     pub broker_installs: u64,
-    /// Chip rounds on which the parallel phase fast-forwarded at least
-    /// two quiescent cores on the worker pool.
-    pub par_cycles: u64,
-    /// Cores handled by the parallel phase in total.
-    pub par_core_steps: u64,
     /// Horizon-stall census, per core: real (possibly-acting) ticks
     /// this core took — how often it held the chip's minimum clock
     /// back instead of skipping ahead.
@@ -231,8 +221,6 @@ impl ChipTelemetry {
             ("ff_cycles_skipped".into(), Json::U64(self.ff_cycles_skipped)),
             ("episode_steps".into(), Json::U64(self.episode_steps)),
             ("broker_installs".into(), Json::U64(self.broker_installs)),
-            ("par_cycles".into(), Json::U64(self.par_cycles)),
-            ("par_core_steps".into(), Json::U64(self.par_core_steps)),
             (
                 "horizon_blocks".into(),
                 Json::Arr(self.horizon_blocks.iter().map(|&v| Json::U64(v)).collect()),
@@ -242,28 +230,6 @@ impl ChipTelemetry {
                 Json::Arr(self.core_ff_windows.iter().map(|&v| Json::U64(v)).collect()),
             ),
         ])
-    }
-}
-
-/// Shares a `*mut Simulator` with pool workers. Sound because the
-/// parallel phase hands each worker a *disjoint* strided subset of
-/// core indices and joins every worker before returning (see
-/// [`Chip::step_round_parallel`]).
-struct CoresPtr(*mut Simulator);
-// SAFETY: workers dereference disjoint offsets only, within the
-// blocking `WorkerPool::run` call that keeps the owner alive.
-unsafe impl Sync for CoresPtr {}
-
-impl CoresPtr {
-    /// Raw pointer to core `i`; the caller reborrows it `&mut` under
-    /// the disjointness guarantee below.
-    ///
-    /// # Safety
-    ///
-    /// The caller must guarantee `i` is in bounds and that no other
-    /// live reference (on any thread) aliases core `i`.
-    unsafe fn core_mut(&self, i: usize) -> *mut Simulator {
-        self.0.add(i)
     }
 }
 
@@ -279,13 +245,6 @@ pub struct Chip {
     /// this slot *during* a core-step.
     shared: Option<Box<SharedLlc>>,
     telemetry: ChipTelemetry,
-    /// Parallel-stepping pool ([`Chip::set_threads`]); `None` =
-    /// sequential stepping (the default).
-    pool: Option<WorkerPool>,
-    /// Scratch for the per-cycle quiescent/active partition
-    /// (pre-sized; stepping stays allocation-free).
-    quiescent: Vec<usize>,
-    active: Vec<usize>,
 }
 
 impl Chip {
@@ -333,32 +292,8 @@ impl Chip {
                 sim
             })
             .collect();
-        let n = cores.len();
-        Chip {
-            cfg: chip,
-            cores,
-            shared,
-            telemetry: ChipTelemetry::new(n),
-            pool: None,
-            quiescent: Vec::with_capacity(n),
-            active: Vec::with_capacity(n),
-        }
-    }
-
-    /// Opt-in parallel core stepping: with `threads ≥ 2` (and N ≥ 2),
-    /// each lockstep cycle partitions the unfinished cores into
-    /// *quiescent* (their tick is provably a no-op by
-    /// [`vr_core::Simulator::lockstep_horizon`], so it touches no
-    /// shared state) and *active*. Quiescent cores step concurrently
-    /// on a persistent worker pool; active cores keep the sequential
-    /// core-index-order walk with the broker installed. Because the
-    /// partition is a pure function of core state and quiescent ticks
-    /// commute with everything, the resulting stats are **bit-identical
-    /// to sequential stepping at any thread count** (pinned by the
-    /// thread-invariance test). `threads ≤ 1` restores sequential
-    /// stepping and drops the pool.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.pool = (self.cores.len() > 1 && threads > 1).then(|| WorkerPool::new(threads));
+        let telemetry = ChipTelemetry::new(cores.len());
+        Chip { cfg: chip, cores, shared, telemetry }
     }
 
     /// The chip configuration in use.
@@ -424,23 +359,19 @@ impl Chip {
         if t == u64::MAX {
             return Ok(false); // every core finished
         }
-        if self.pool.is_some() {
-            self.step_round_parallel(max_insts, t)?;
-        } else {
-            self.step_round_sequential(max_insts, t)?;
-        }
+        self.step_round(max_insts, t)?;
         Ok(self.cores.iter().any(|c| !c.finished(max_insts)))
     }
 
-    /// One chip round at minimum clock `t`, sequential. Each core at
-    /// `t` either **fast-forwards** through its proven-quiescent
-    /// window ([`vr_core::Simulator::lockstep_horizon`]) — bulk stats,
+    /// One chip round at minimum clock `t`. Each core at `t` either
+    /// **fast-forwards** through its proven-quiescent window
+    /// ([`vr_core::Simulator::lockstep_advance`]) — bulk stats,
     /// no tick, no broker — and then sleeps until the chip's minimum
     /// clock catches up to it, or **steps one real tick** in
     /// core-index order with the owned broker moved in and out (the
     /// de-mutexed hot path). See DESIGN.md §17 for why this preserves
     /// the lockstep schedule cycle-exactly.
-    fn step_round_sequential(&mut self, max_insts: u64, t: u64) -> Result<(), SimError> {
+    fn step_round(&mut self, max_insts: u64, t: u64) -> Result<(), SimError> {
         let mut llc = self.take_broker()?;
         let mut installs = 0u64;
         for i in 0..self.cores.len() {
@@ -448,115 +379,6 @@ impl Chip {
             if core.finished(max_insts) || core.cycle() != t {
                 continue;
             }
-            core.install_shared_llc(llc);
-            installs += 1;
-            let r = core.lockstep_advance(max_insts);
-            llc = core.take_shared_llc();
-            match r {
-                Ok(LockstepAction::FastForwarded(h)) => {
-                    self.telemetry.ff_windows += 1;
-                    self.telemetry.ff_cycles_skipped += h - t;
-                    self.telemetry.core_ff_windows[i] += 1;
-                }
-                Ok(LockstepAction::EngineStepped) => {
-                    self.telemetry.episode_steps += 1;
-                    self.telemetry.horizon_blocks[i] += 1;
-                }
-                Ok(LockstepAction::Ticked) => {
-                    self.telemetry.horizon_blocks[i] += 1;
-                }
-                Err(e) => {
-                    self.shared = Some(llc);
-                    self.telemetry.broker_installs += installs;
-                    return Err(e);
-                }
-            }
-        }
-        self.shared = Some(llc);
-        self.telemetry.broker_installs += installs;
-        Ok(())
-    }
-
-    /// One chip round at minimum clock `t`, parallel
-    /// ([`Chip::set_threads`]): the two-phase split of the sequential
-    /// round. Phase 1 *computes and applies* the quiescent cores'
-    /// fast-forward windows concurrently on the worker pool — each
-    /// window is a pure function of that core's private state and its
-    /// application touches only that core, so any execution order
-    /// (including concurrent) gives the sequential result, and it
-    /// cannot error. Phase 2 then drains the cores that may act, in
-    /// deterministic core-index order with the broker installed —
-    /// identical to the sequential walk, so every broker arrival
-    /// happens in the same order with the same timestamps. Stats are
-    /// therefore **bit-identical at any thread count** (pinned by the
-    /// thread-invariance test).
-    fn step_round_parallel(&mut self, max_insts: u64, t: u64) -> Result<(), SimError> {
-        self.quiescent.clear();
-        self.active.clear();
-        for (i, core) in self.cores.iter().enumerate() {
-            if core.finished(max_insts) || core.cycle() != t {
-                continue;
-            }
-            if core.lockstep_horizon().is_some() {
-                self.quiescent.push(i);
-            } else {
-                self.active.push(i);
-            }
-        }
-
-        // Phase 1: fast-forward the quiescent cores, strided over the
-        // pool workers (deterministic assignment; the result doesn't
-        // depend on it). A single quiescent core isn't worth a pool
-        // broadcast.
-        if self.quiescent.len() >= 2 {
-            let pool = self.pool.as_ref().expect("parallel stepping without a pool");
-            let workers = pool.size().min(self.quiescent.len());
-            let base = CoresPtr(self.cores.as_mut_ptr());
-            let quiescent = &self.quiescent;
-            pool.run(workers, &|w| {
-                let mut j = w;
-                while j < quiescent.len() {
-                    let i = quiescent[j];
-                    // SAFETY: worker `w` owns exactly the strided
-                    // indices {w, w+workers, …} of `quiescent`, whose
-                    // entries are distinct core indices — the `&mut`s
-                    // are disjoint, and `run` joins every worker
-                    // before this frame returns.
-                    let core = unsafe { &mut *base.core_mut(i) };
-                    if let Some(h) = core.lockstep_horizon() {
-                        core.fast_forward_to(h);
-                    }
-                    j += workers;
-                }
-            });
-            self.telemetry.par_cycles += 1;
-            self.telemetry.par_core_steps += self.quiescent.len() as u64;
-            for k in 0..self.quiescent.len() {
-                let i = self.quiescent[k];
-                self.telemetry.ff_windows += 1;
-                self.telemetry.ff_cycles_skipped += self.cores[i].cycle() - t;
-                self.telemetry.core_ff_windows[i] += 1;
-            }
-        } else if let Some(&i) = self.quiescent.first() {
-            let core = &mut self.cores[i];
-            if let Some(h) = core.lockstep_horizon() {
-                core.fast_forward_to(h);
-                self.telemetry.ff_windows += 1;
-                self.telemetry.ff_cycles_skipped += h - t;
-                self.telemetry.core_ff_windows[i] += 1;
-            }
-        }
-
-        // Phase 2: the cores that may act, in core-index order with
-        // the broker — identical to the sequential walk. (Phase 1 only
-        // mutated *other* cores, so an active core's analysis is
-        // unchanged since classification; the fast-forward arm is
-        // unreachable but harmless.)
-        let mut llc = self.take_broker()?;
-        let mut installs = 0u64;
-        for k in 0..self.active.len() {
-            let i = self.active[k];
-            let core = &mut self.cores[i];
             core.install_shared_llc(llc);
             installs += 1;
             let r = core.lockstep_advance(max_insts);

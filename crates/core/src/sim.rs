@@ -900,7 +900,7 @@ impl Simulator {
     /// cycle up to a horizon, without mutating anything. Returns `None`
     /// when any phase may act this cycle. Shared by the standalone
     /// skip ([`Self::maybe_fast_forward`]) and the chip's cross-core
-    /// skip ([`Self::lockstep_horizon`]).
+    /// skip ([`Self::lockstep_advance`]).
     fn ff_analysis(&self) -> Option<FfWindow> {
         if !self.ready.is_empty() || !self.store_buffer.is_empty() {
             return None;
@@ -1024,53 +1024,6 @@ impl Simulator {
         if self.runahead.is_some() {
             self.stats.runahead_cycles += delta;
         }
-    }
-
-    /// The chip-level fast-forward hook: the earliest future cycle at
-    /// which this core could possibly act, or `None` if it may act
-    /// *this* cycle. Every `try_tick` phase is a proven no-op for each
-    /// cycle in `self.cycle() .. horizon` — in particular the core
-    /// makes **no memory-system access** in that window, so a lockstep
-    /// chip may bulk-advance a set of cores whose windows overlap
-    /// without reordering any arrivals at the shared LLC banks.
-    ///
-    /// Unlike the standalone skip, a live vector engine is *not* run
-    /// forward in virtual time here (its gathers would interleave with
-    /// other cores' arrivals out of lockstep order); instead the
-    /// engine must itself be idle, and its next event (capped at the
-    /// episode deadline, whose tick must stay real) bounds the
-    /// horizon.
-    pub fn lockstep_horizon(&self) -> Option<u64> {
-        let w = self.ff_analysis()?;
-        let mut h = w.horizon;
-        if w.vector {
-            let ep = self.runahead.as_ref().expect("a vector window implies a live episode");
-            let Engine::Vector(eng) = &ep.engine else {
-                unreachable!("ff_analysis saw a vector engine")
-            };
-            match eng.idle_until(self.cycle, ep.end_at) {
-                Some(i) if i > self.cycle => h = h.min(i).min(ep.end_at),
-                _ => return None, // engine may act this cycle
-            }
-        }
-        (h > self.cycle).then_some(h)
-    }
-
-    /// Bulk-advances this core to `target` — caller must have proven
-    /// quiescence via [`Self::lockstep_horizon`] (the chip uses the
-    /// minimum horizon across cores, so `target` is at or before this
-    /// core's own horizon). Stats are applied exactly as the skipped
-    /// lockstep ticks would have recorded them.
-    pub fn fast_forward_to(&mut self, target: u64) {
-        if target <= self.cycle {
-            return;
-        }
-        debug_assert!(
-            self.lockstep_horizon().is_some_and(|h| target <= h),
-            "fast_forward_to past the proven horizon"
-        );
-        let stalled = self.ff_analysis().is_some_and(|w| w.stalled);
-        self.apply_fast_forward(target, stalled);
     }
 
     /// One chip-round advance (DESIGN.md §17): the lockstep analogue

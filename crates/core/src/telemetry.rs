@@ -237,8 +237,9 @@ impl Telemetry {
         self.open.is_some()
     }
 
-    /// JSON rendering of the aggregate state (schema: part of the
-    /// `vr-telemetry-v1` document — see DESIGN.md §10).
+    /// JSON rendering of the aggregate state: the `telemetry`
+    /// attachment of `experiments trace`, versioned by its report's
+    /// `vr-experiments-v1` tag (DESIGN.md §10).
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("entries".into(), Json::U64(self.entries)),

@@ -220,8 +220,8 @@ impl PfTelemetry {
         self.untracked
     }
 
-    /// JSON rendering of the aggregate state (schema: part of the
-    /// `vr-telemetry-v1` document — see DESIGN.md §10).
+    /// JSON rendering of the aggregate state. It carries no schema tag
+    /// of its own: a document embedding it versions it (DESIGN.md §10).
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("tracked".into(), Json::U64(self.tracked)),

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # vr-obs
 //!
 //! Observability primitives shared by the simulator crates and the
@@ -10,8 +11,6 @@
 //! * [`Histogram`] — power-of-two-bucketed `u64` histogram with exact
 //!   count/sum/min/max (used for prefetch lead-distance and
 //!   runahead-episode-shape distributions);
-//! * [`Registry`] — a small, insertion-ordered name → counter /
-//!   histogram registry that renders itself to JSON;
 //! * [`Json`] — a zero-dependency JSON value type with a serializer
 //!   and a strict parser, used for every machine-readable artifact the
 //!   `experiments` harness emits (`--json`) and for validating those
@@ -24,19 +23,12 @@
 mod fnv;
 mod hist;
 mod json;
-mod registry;
 mod ring;
 
 pub use fnv::Fnv64;
 pub use hist::Histogram;
 pub use json::Json;
-pub use registry::Registry;
 pub use ring::RingLog;
-
-/// Schema-version tag stamped into every telemetry JSON document
-/// produced from a [`Registry`] (see DESIGN.md §10 for the policy:
-/// additive changes keep the version; renames/removals bump it).
-pub const TELEMETRY_SCHEMA: &str = "vr-telemetry-v1";
 
 /// Schema-version tag of every record in the on-disk result store
 /// (`crates/campaign`, DESIGN.md §11). Bump on breaking record-layout

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # vr-workloads
 //!
 //! The 13 benchmarks of the Vector Runahead evaluation, hand-written
