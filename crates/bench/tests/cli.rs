@@ -470,33 +470,53 @@ fn fig_chip_fail_point_degrades_to_holes_and_recovers() {
     std::fs::remove_dir_all(&store).ok();
 }
 
-/// Pins the multi-core figure's output by digest: its stdout and the
-/// `tables` of every report in its `--json` export. Any change to chip
-/// stepping, the shared-LLC broker or the figure's rendering that moves
-/// a single byte fails here. Telemetry attachments and run metadata
-/// (thread count, timings) are deliberately outside the pin.
+/// Pins figure output by digest, one row per command: its stdout plus
+/// the `tables` and `metrics` of every report in its `--json` export.
+/// Any change to simulation, chip stepping, the shared-LLC broker or a
+/// figure's rendering that moves a single byte fails here. Telemetry
+/// attachments and run metadata (thread count, timings) are
+/// deliberately outside the pin.
 #[test]
-fn fig_chip_output_is_pinned_by_digest() {
-    const STDOUT_DIGEST: u64 = 0x1956_2218_92ef_9397;
-    const TABLES_DIGEST: u64 = 0xad4f_fd7d_a397_1b9c;
-    let path = tmp("fig-chip-pin.json");
-    let o =
-        experiments(&["fig-chip", "--quick", "--insts", "20000", "--json", path.to_str().unwrap()]);
-    assert!(o.status.success(), "stderr: {}", stderr(&o));
-    let doc = Json::parse(&std::fs::read_to_string(&path).expect("json written")).unwrap();
-    std::fs::remove_file(&path).ok();
-    let mut tables = Fnv64::new();
-    for report in doc.get("reports").and_then(Json::as_arr).expect("reports") {
-        tables.write_str(&report.get("tables").expect("tables").to_string());
+fn figure_output_is_pinned_by_digest() {
+    // (arguments, stdout digest, tables digest, metrics digest)
+    const PINS: &[(&[&str], u64, u64, u64)] = &[
+        (
+            &["fig-chip", "--quick", "--insts", "20000"],
+            0x1956_2218_92ef_9397,
+            0xad4f_fd7d_a397_1b9c,
+            0x756d_9de1_e8d0_3c52,
+        ),
+        (
+            &["all", "--quick", "--insts", "20000"],
+            0x6346_7330_ef13_cc0a,
+            0xea54_584c_8751_3aef,
+            0x7eec_c588_ce9a_c7d1,
+        ),
+    ];
+    for (i, &(args, want_stdout, want_tables, want_metrics)) in PINS.iter().enumerate() {
+        let path = tmp(&format!("pin-{i}.json"));
+        let mut argv = args.to_vec();
+        argv.extend(["--json", path.to_str().unwrap()]);
+        let o = experiments(&argv);
+        assert!(o.status.success(), "{args:?} stderr: {}", stderr(&o));
+        let doc = Json::parse(&std::fs::read_to_string(&path).expect("json written")).unwrap();
+        std::fs::remove_file(&path).ok();
+        let (mut tables, mut metrics) = (Fnv64::new(), Fnv64::new());
+        for report in doc.get("reports").and_then(Json::as_arr).expect("reports") {
+            tables.write_str(&report.get("tables").expect("tables").to_string());
+            metrics.write_str(&report.get("metrics").expect("metrics").to_string());
+        }
+        let got = (Fnv64::new().str(&stdout(&o)).finish(), tables.finish(), metrics.finish());
+        assert_eq!(
+            got,
+            (want_stdout, want_tables, want_metrics),
+            "{args:?} output moved (stdout, tables, metrics digests: {:#018x}, {:#018x}, \
+             {:#018x})",
+            got.0,
+            got.1,
+            got.2
+        );
     }
-    let got = (Fnv64::new().str(&stdout(&o)).finish(), tables.finish());
-    assert_eq!(
-        got,
-        (STDOUT_DIGEST, TABLES_DIGEST),
-        "fig-chip output moved (stdout, tables digests: {:#018x}, {:#018x})",
-        got.0,
-        got.1
-    );
 }
 
 #[test]
