@@ -11,29 +11,33 @@
 //! reports, so exported values always equal the printed ones (see
 //! DESIGN.md §10).
 //!
-//! Simulation points are fanned across a work pool
-//! ([`vr_bench::parallel_map`]); every table and figure is
-//! bit-identical to a `--threads 1` run because each point constructs
-//! its own simulator and results are reassembled in input order.
+//! A cached figure's simulation points are its
+//! [`vr_bench::points::campaign_points`] list, run once through
+//! [`vr_bench::run_points`] (with the `--cache` store, if given) and
+//! fanned across a work pool; every table and figure is bit-identical
+//! to a `--threads 1` run because each point constructs its own
+//! simulator and results are reassembled in input order.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 
+use vr_bench::points::{campaign_points, full_workload_set, FigureOpts};
 use vr_bench::report::{write_exports, Report, RunMeta};
 use vr_bench::{
-    holey, is_hole, parallel_map, pct, ratio, run_custom, run_technique, workload_set, BarChart,
-    Table, Technique,
+    aggregate, hole_cell, pct, ratio, run_points, run_technique, BarChart, Table, Technique,
 };
-use vr_core::{harmonic_mean, CoreConfig, RunaheadConfig, Simulator};
+use vr_campaign::{CampaignPoint, ResultStore};
+use vr_core::{harmonic_mean, CoreConfig, RunaheadConfig, SimStats, Simulator};
 use vr_mem::{HitLevel, MemConfig, Requestor};
 use vr_obs::Json;
-use vr_workloads::{gap_suite, graph::GraphPreset, Scale, Workload};
+use vr_workloads::{graph::GraphPreset, Scale, Workload};
 
 struct Opts {
-    insts: u64,
-    presets: Vec<GraphPreset>,
-    scale: Scale,
+    /// Budget, graph presets and scale: what determines the points.
+    fig: FigureOpts,
     threads: usize,
+    /// `--cache DIR`: the result store every figure's points are run
+    /// through (and the store `campaign` drives).
+    store: Option<ResultStore>,
     /// First non-flag argument after the id (the `trace` workload, or
     /// the `campaign` action).
     workload: Option<String>,
@@ -62,57 +66,105 @@ struct Opts {
     spool: Option<PathBuf>,
 }
 
+/// The render half of a cached figure: its report, built from the
+/// figure's [`campaign_points`] and one result per point (`None` for a
+/// HOLE), both in enumeration order.
+type Render = fn(&Opts, &[CampaignPoint], &[Option<SimStats>]) -> Report;
+
+/// How a command produces its reports.
+enum Run {
+    /// A cached figure: its point list is run once through
+    /// [`run_points`], then rendered.
+    Figure(Render),
+    /// Everything else.
+    Plain(fn(&Opts) -> Vec<Report>),
+}
+
 /// One dispatchable subcommand: the id `main` matches on, the help
-/// line the usage text prints, and the figure function itself.
+/// line the usage text prints, and how it runs.
 struct Cmd {
     id: &'static str,
     help: &'static str,
-    run: fn(&Opts) -> Vec<Report>,
+    run: Run,
+}
+
+use Run::{Figure, Plain};
+
+impl Cmd {
+    fn execute(&self, opts: &Opts) -> Vec<Report> {
+        match self.run {
+            Plain(f) => f(opts),
+            Figure(render) => {
+                let points = campaign_points(self.id, &opts.fig).expect("cached figures enumerate");
+                let (results, holes) = run_points(&points, opts.store.as_ref(), opts.threads);
+                let mut r = render(opts, &points, &results);
+                r.holes = holes;
+                vec![r]
+            }
+        }
+    }
 }
 
 /// The dispatch table. The usage text is generated from this table,
 /// so adding a command here is the *only* step needed to expose it.
 const COMMANDS: &[Cmd] = &[
-    Cmd { id: "table1", help: "baseline core/memory configuration (Table 1)", run: table1 },
-    Cmd { id: "table2", help: "graph inputs + measured LLC MPKI (Table 2)", run: table2 },
-    Cmd { id: "fig-perf", help: "speedup over the baseline OoO (Fig. 7)", run: fig_perf },
-    Cmd { id: "fig-rob", help: "ROB-size sensitivity sweep (Fig. 2/12)", run: fig_rob },
-    Cmd { id: "fig-breakdown", help: "VR + extension breakdown (Fig. 8)", run: fig_breakdown },
-    Cmd { id: "fig-mlp", help: "memory-level parallelism (Fig. 9)", run: fig_mlp },
-    Cmd { id: "fig-accuracy", help: "prefetch accuracy/coverage (Fig. 10)", run: fig_accuracy },
+    Cmd { id: "table1", help: "baseline core/memory configuration (Table 1)", run: Plain(table1) },
+    Cmd { id: "table2", help: "graph inputs + measured LLC MPKI (Table 2)", run: Figure(table2) },
+    Cmd { id: "fig-perf", help: "speedup over the baseline OoO (Fig. 7)", run: Figure(fig_perf) },
+    Cmd { id: "fig-rob", help: "ROB-size sensitivity sweep (Fig. 2/12)", run: Figure(fig_rob) },
+    Cmd {
+        id: "fig-breakdown",
+        help: "VR + extension breakdown (Fig. 8)",
+        run: Figure(fig_breakdown),
+    },
+    Cmd { id: "fig-mlp", help: "memory-level parallelism (Fig. 9)", run: Figure(fig_mlp) },
+    Cmd {
+        id: "fig-accuracy",
+        help: "prefetch accuracy/coverage (Fig. 10)",
+        run: Figure(fig_accuracy),
+    },
     Cmd {
         id: "fig-timeliness",
         help: "prefetch timeliness by level (Fig. 11)",
-        run: fig_timeliness,
+        run: Figure(fig_timeliness),
     },
-    Cmd { id: "fig-veclen", help: "vector-length sweep", run: fig_veclen },
-    Cmd { id: "fig-interval", help: "trigger/interval statistics", run: fig_interval },
-    Cmd { id: "table-hw", help: "hardware overhead of the VR structures", run: table_hw },
-    Cmd { id: "fig-ablation", help: "design-choice ablations", run: fig_ablation },
-    Cmd { id: "fig-mshr", help: "MSHR-count sensitivity sweep", run: fig_mshr },
+    Cmd { id: "fig-veclen", help: "vector-length sweep", run: Figure(fig_veclen) },
+    Cmd { id: "fig-interval", help: "trigger/interval statistics", run: Figure(fig_interval) },
+    Cmd { id: "table-hw", help: "hardware overhead of the VR structures", run: Plain(table_hw) },
+    Cmd { id: "fig-ablation", help: "design-choice ablations", run: Figure(fig_ablation) },
+    Cmd { id: "fig-mshr", help: "MSHR-count sensitivity sweep", run: Figure(fig_mshr) },
     Cmd {
         id: "fig-chip",
         help: "multi-core chip: VR under shared-LLC contention (not in `all`)",
-        run: fig_chip,
+        run: Plain(fig_chip),
     },
-    Cmd { id: "trace", help: "pipeline-diagram trace of one workload under VR", run: trace_cmd },
+    Cmd {
+        id: "trace",
+        help: "pipeline-diagram trace of one workload under VR",
+        run: Plain(trace_cmd),
+    },
     Cmd {
         id: "fault-oracle",
         help: "fault-injection architectural-invisibility check",
-        run: fault_oracle,
+        run: Plain(fault_oracle),
     },
     Cmd {
         id: "perf-report",
         help: "simulator-throughput report (writes BENCH_sim.json)",
-        run: perf_report,
+        run: Plain(perf_report),
     },
     Cmd {
         id: "campaign",
         help: "result-store campaign over the figure sim points (run/serve/status/verify/gc)",
-        run: campaign_cmd,
+        run: Plain(campaign_cmd),
     },
-    Cmd { id: "all", help: "every paper table and figure above", run: all_figures },
+    Cmd { id: "all", help: "every paper table and figure above", run: Plain(all_figures) },
 ];
+
+/// The command named `id`.
+fn command(id: &str) -> Option<&'static Cmd> {
+    COMMANDS.iter().find(|c| c.id == id)
+}
 
 /// Usage text, generated from [`COMMANDS`] so it cannot drift.
 fn usage() -> String {
@@ -156,7 +208,7 @@ fn main() {
         eprint!("{}", usage());
         std::process::exit(2);
     };
-    let Some(cmd) = COMMANDS.iter().find(|c| c.id == id) else {
+    let Some(cmd) = command(&id) else {
         eprintln!("error: unknown command {id:?}");
         eprint!("{}", usage());
         std::process::exit(2);
@@ -317,11 +369,22 @@ fn main() {
             }
         }
     }
+    // perf-report measures simulation throughput; through a store its
+    // KIPS loop and figure timings would measure store reads instead.
+    if id == "perf-report" && cache_dir.is_some() {
+        eprintln!("error: perf-report times simulation and cannot run against --cache");
+        std::process::exit(2);
+    }
+    let store = cache_dir.map(|dir| {
+        ResultStore::open(&dir).unwrap_or_else(|e| {
+            eprintln!("error: cannot open result store at {}: {e}", dir.display());
+            std::process::exit(1);
+        })
+    });
     let opts = Opts {
-        insts,
-        presets,
-        scale,
+        fig: FigureOpts { insts, presets, scale },
         threads,
+        store,
         workload,
         figure,
         cancel_after_ms,
@@ -333,22 +396,15 @@ fn main() {
         spool,
     };
 
-    if let Some(dir) = &cache_dir {
-        if let Err(e) = vr_bench::cache::enable(dir) {
-            eprintln!("error: cannot open result store at {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-    }
-
-    let reports = (cmd.run)(&opts);
+    let reports = cmd.execute(&opts);
     for r in &reports {
         print!("{}", r.render_text());
     }
     let meta = RunMeta {
         command: id.clone(),
-        insts: opts.insts,
+        insts: opts.fig.insts,
         threads: opts.threads,
-        scale: match opts.scale {
+        scale: match opts.fig.scale {
             Scale::Paper => "paper".to_string(),
             Scale::Test => "test".to_string(),
         },
@@ -363,7 +419,8 @@ fn main() {
     if let Some(p) = &csv {
         eprintln!("wrote {}", p.display());
     }
-    if let Some(c) = vr_bench::cache::counters() {
+    if let Some(store) = &opts.store {
+        let c = store.counters();
         eprintln!(
             "cache: {} hits, {} misses, {} writes, {} stale, {} quarantined",
             c.hits, c.misses, c.writes, c.stale, c.quarantined
@@ -372,7 +429,7 @@ fn main() {
     // Degradation summary: poisoned points rendered as HOLE cells are
     // loud on stderr but never fatal — a partial figure beats no
     // figure, and the poison record says exactly what to retry.
-    let holes = vr_bench::cache::holes();
+    let holes: Vec<&str> = reports.iter().flat_map(|r| &r.holes).map(String::as_str).collect();
     if !holes.is_empty() {
         eprintln!(
             "degraded: {} poisoned point(s) rendered as HOLE: {}",
@@ -388,35 +445,22 @@ fn main() {
 }
 
 fn all_figures(opts: &Opts) -> Vec<Report> {
-    let figures: [fn(&Opts) -> Vec<Report>; 13] = [
-        table1,
-        table2,
-        fig_perf,
-        fig_rob,
-        fig_breakdown,
-        fig_mlp,
-        fig_accuracy,
-        fig_timeliness,
-        fig_veclen,
-        fig_interval,
-        fig_ablation,
-        fig_mshr,
-        table_hw,
+    const ALL: [&str; 13] = [
+        "table1",
+        "table2",
+        "fig-perf",
+        "fig-rob",
+        "fig-breakdown",
+        "fig-mlp",
+        "fig-accuracy",
+        "fig-timeliness",
+        "fig-veclen",
+        "fig-interval",
+        "fig-ablation",
+        "fig-mshr",
+        "table-hw",
     ];
-    figures.iter().flat_map(|f| f(opts)).collect()
-}
-
-fn build_set(opts: &Opts) -> Vec<Workload> {
-    match opts.scale {
-        Scale::Paper => workload_set(&opts.presets),
-        Scale::Test => vr_bench::quick_workload_set(),
-    }
-}
-
-/// A smaller, representative subset for parameter sweeps (shared with
-/// the campaign-point enumeration in `vr_bench::points`).
-fn sweep_set(opts: &Opts) -> Vec<Workload> {
-    vr_bench::sweep_workload_set(opts.scale)
+    ALL.iter().flat_map(|id| command(id).expect("`all` lists known ids").execute(opts)).collect()
 }
 
 // ---------------------------------------------------------------- campaign
@@ -437,9 +481,9 @@ fn first_line(err: &str) -> String {
 /// files.
 fn campaign_cmd(opts: &Opts) -> Vec<Report> {
     use vr_campaign::{
-        campaign_status, run_campaign, serve_lines, serve_spool, CampaignPoint, CancelToken,
-        ChipPoint, EngineConfig, ExecCtx, Executor, Manifest, PointSet, ProgressEvent,
-        ProgressKind, ServeConfig, ServeSummary, ShardSpec, SimExecutor,
+        campaign_status, run_campaign, serve_lines, serve_spool, CancelToken, ChipPoint,
+        EngineConfig, ExecCtx, Executor, Manifest, PointSet, ProgressEvent, ProgressKind,
+        ServeConfig, ServeSummary, ShardSpec, SimExecutor,
     };
 
     /// `--fail-point SUBSTR`: points whose label contains the
@@ -484,7 +528,7 @@ fn campaign_cmd(opts: &Opts) -> Vec<Report> {
             Executor::<ChipPoint>::execute(&SimExecutor, p, ctx)
         }
     }
-    let Some(store) = vr_bench::cache::active() else {
+    let Some(store) = opts.store.as_ref() else {
         eprintln!("error: campaign requires --cache DIR (the store to run against)");
         std::process::exit(2);
     };
@@ -493,18 +537,13 @@ fn campaign_cmd(opts: &Opts) -> Vec<Report> {
         std::process::exit(2);
     });
     let figure = opts.figure.as_deref().unwrap_or("all");
-    let fig_opts = vr_bench::points::FigureOpts {
-        insts: opts.insts,
-        presets: opts.presets.clone(),
-        scale: opts.scale,
-    };
     // Chip points are a different point type with a different result
     // shape; `PointSet` carries whichever the figure enumerates and
     // the actions below dispatch through the generic engine.
     let enumerate = || {
-        vr_bench::points::chip_points(figure, &fig_opts)
+        vr_bench::points::chip_points(figure, &opts.fig)
             .map(PointSet::Chip)
-            .or_else(|| vr_bench::points::campaign_points(figure, &fig_opts).map(PointSet::Scalar))
+            .or_else(|| campaign_points(figure, &opts.fig).map(PointSet::Scalar))
             .unwrap_or_else(|| {
                 eprintln!(
                     "error: unknown or uncacheable figure {figure:?}\navailable: {} fig-chip",
@@ -647,12 +686,10 @@ fn campaign_cmd(opts: &Opts) -> Vec<Report> {
                         })
                         .collect::<Result<Vec<_>, String>>()?
                 };
-                let fo = vr_bench::points::FigureOpts { insts: m.insts, presets, scale };
+                let fo = FigureOpts { insts: m.insts, presets, scale };
                 vr_bench::points::chip_points(&m.figure, &fo)
                     .map(PointSet::Chip)
-                    .or_else(|| {
-                        vr_bench::points::campaign_points(&m.figure, &fo).map(PointSet::Scalar)
-                    })
+                    .or_else(|| campaign_points(&m.figure, &fo).map(PointSet::Scalar))
                     .ok_or_else(|| format!("unknown or uncacheable figure {:?}", m.figure))
             };
             let stdout = std::io::stdout();
@@ -879,322 +916,265 @@ fn table1(_opts: &Opts) -> Vec<Report> {
     vec![r]
 }
 
+// ---------------------------------------------------------------- shared
+
+/// The speedup of `s` over `base`, or `None` when either is a HOLE.
+fn speedup(base: &Option<SimStats>, s: &Option<SimStats>) -> Option<f64> {
+    Some(s.as_ref()?.speedup_over(base.as_ref()?))
+}
+
+/// Pushes the `speedup` table the sweep figures share: one row of
+/// per-column speedups per workload, then an `h-mean` row. Column `i`'s
+/// h-mean is recorded as metric `metrics[i]` when one is named. A HOLE
+/// renders `HOLE` in its cell and in its column's h-mean.
+fn push_speedup_table(
+    r: &mut Report,
+    headers: &[&str],
+    rows: Vec<(String, Vec<Option<f64>>)>,
+    metrics: &[String],
+) {
+    let mut t = Table::new(headers);
+    let mut cols = vec![Vec::new(); headers.len() - 1];
+    for (name, sps) in rows {
+        let mut cells = vec![name];
+        for (sp, col) in sps.into_iter().zip(&mut cols) {
+            col.push(sp);
+            cells.push(hole_cell(sp, ratio));
+        }
+        t.row(cells);
+    }
+    let mut hm = vec!["h-mean".to_string()];
+    for (i, col) in cols.iter().enumerate() {
+        let v = aggregate(col, harmonic_mean);
+        hm.push(match metrics.get(i) {
+            Some(name) => r.metric_cell(name, v, ratio),
+            None => hole_cell(v, ratio),
+        });
+    }
+    t.row(hm);
+    r.push_table("speedup", t);
+}
+
+/// Rows of per-workload speedups for figures whose points come in
+/// chunks of `n` per workload: the baseline first, then one variant
+/// per column.
+fn variant_speedups(
+    points: &[CampaignPoint],
+    res: &[Option<SimStats>],
+    n: usize,
+) -> Vec<(String, Vec<Option<f64>>)> {
+    points
+        .chunks_exact(n)
+        .zip(res.chunks_exact(n))
+        .map(|(p, runs)| {
+            (p[0].workload.name.clone(), runs[1..].iter().map(|s| speedup(&runs[0], s)).collect())
+        })
+        .collect()
+}
+
 // ---------------------------------------------------------------- table 2
 
-fn table2(opts: &Opts) -> Vec<Report> {
+fn table2(opts: &Opts, _points: &[CampaignPoint], res: &[Option<SimStats>]) -> Report {
     let mut r =
         Report::new("table2", "Table 2: graph inputs (synthetic stand-ins) + measured LLC MPKI");
     let mut t = Table::new(&["input", "nodes(K)", "edges(K)", "footprint(MB)", "LLC MPKI"]);
-    for p in GraphPreset::ALL {
-        let g = p.generate(opts.scale);
+    let per_preset = res.len() / GraphPreset::ALL.len();
+    for (p, runs) in GraphPreset::ALL.into_iter().zip(res.chunks_exact(per_preset)) {
+        let g = p.generate(opts.fig.scale);
         // Aggregate MPKI over the five GAP kernels on the baseline.
-        let suite = gap_suite(opts.scale, p);
-        let per_kernel = parallel_map(&suite, opts.threads, |w| {
-            let s = run_technique(w, CoreConfig::table1(), Technique::Baseline, opts.insts / 2);
-            (s.mem.loads_served_at(HitLevel::Dram), s.instructions)
+        let mpki = runs.iter().map(Option::as_ref).collect::<Option<Vec<_>>>().map(|runs| {
+            let misses: u64 = runs.iter().map(|s| s.mem.loads_served_at(HitLevel::Dram)).sum();
+            let insts: u64 = runs.iter().map(|s| s.instructions).sum();
+            misses as f64 * 1000.0 / insts as f64
         });
-        let misses: u64 = per_kernel.iter().map(|&(m, _)| m).sum();
-        let insts: u64 = per_kernel.iter().map(|&(_, i)| i).sum();
-        let mpki = misses as f64 * 1000.0 / insts as f64;
-        r.metric(&format!("mpki_{}", p.abbrev()), mpki);
+        let mpki = r.metric_cell(&format!("mpki_{}", p.abbrev()), mpki, |v| format!("{v:.1}"));
         t.row(vec![
             p.abbrev().into(),
             format!("{:.1}", g.num_nodes() as f64 / 1e3),
             format!("{:.1}", g.num_edges() as f64 / 1e3),
             format!("{:.1}", g.footprint_bytes() as f64 / (1 << 20) as f64),
-            format!("{mpki:.1}"),
+            mpki,
         ]);
     }
     r.push_table("inputs", t);
-    vec![r]
+    r
 }
 
 // ---------------------------------------------------------------- fig 7
 
-fn fig_perf(opts: &Opts) -> Vec<Report> {
+fn fig_perf(opts: &Opts, points: &[CampaignPoint], res: &[Option<SimStats>]) -> Report {
     let mut r = Report::new(
         "fig-perf",
         &format!(
             "Fig. performance: IPC normalized to the baseline OoO (budget {} insts)",
-            opts.insts
+            opts.fig.insts
         ),
     );
-    let set = build_set(opts);
-    let mut t = Table::new(&["benchmark", "PRE", "IMP", "VR", "Oracle"]);
-    let mut speedups: HashMap<&str, Vec<f64>> = HashMap::new();
+    let techs = &Technique::HEADLINE[1..];
+    let rows = variant_speedups(points, res, Technique::HEADLINE.len());
+    let vr = techs.iter().position(|&t| t == Technique::Vr).expect("VR is a headline technique");
     let mut vr_chart = BarChart::new("VR speedup over the baseline OoO");
-    const TECHS: [Technique; 4] =
-        [Technique::Pre, Technique::Imp, Technique::Vr, Technique::Oracle];
-    let mut tainted: Vec<&str> = Vec::new();
-    let results = parallel_map(&set, opts.threads, |w| {
-        eprintln!("  [run] {} …", w.name);
-        let base = run_technique(w, CoreConfig::table1(), Technique::Baseline, opts.insts);
-        let techs = TECHS.map(|tech| run_technique(w, CoreConfig::table1(), tech, opts.insts));
-        (base, techs)
-    });
-    for (w, (base, techs)) in set.iter().zip(&results) {
-        let mut cells = vec![w.name.clone()];
-        for (tech, s) in TECHS.iter().zip(techs) {
-            let sp = s.speedup_over(base);
-            // A poisoned point degrades to an explicit HOLE cell and
-            // taints the technique's aggregate instead of aborting.
-            if is_hole(base) || is_hole(s) {
-                if !tainted.contains(&tech.label()) {
-                    tainted.push(tech.label());
-                }
-            } else {
-                speedups.entry(tech.label()).or_default().push(sp);
-            }
-            if *tech == Technique::Vr {
-                vr_chart.bar(&w.name, sp);
-            }
-            cells.push(holey(&[base, s], ratio(sp)));
+    for (name, sps) in &rows {
+        if let Some(sp) = sps[vr] {
+            vr_chart.bar(name, sp);
         }
-        t.row(cells);
     }
-    let mut hmean = vec!["h-mean".to_string()];
-    for tech in ["PRE", "IMP", "VR", "Oracle"] {
-        if tainted.contains(&tech) {
-            hmean.push("HOLE".to_string());
-            continue;
-        }
-        let hm = harmonic_mean(&speedups[tech]);
-        r.metric(&format!("hmean_{tech}"), hm);
-        hmean.push(ratio(hm));
-    }
-    t.row(hmean);
-    r.push_table("speedup", t);
+    let mut headers = vec!["benchmark"];
+    headers.extend(techs.iter().map(|t| t.label()));
+    let metrics: Vec<String> = techs.iter().map(|t| format!("hmean_{}", t.label())).collect();
+    push_speedup_table(&mut r, &headers, rows, &metrics);
     r.push_chart(vr_chart);
-    vec![r]
+    r
 }
 
 // ---------------------------------------------------------------- fig 2 / 12
 
-fn fig_rob(opts: &Opts) -> Vec<Report> {
+fn fig_rob(_opts: &Opts, _points: &[CampaignPoint], res: &[Option<SimStats>]) -> Report {
+    use vr_bench::points::ROB_SIZES;
     let mut r = Report::new(
         "fig-rob",
         "Fig. ROB sensitivity: OoO and VR vs ROB size (back-end queues and PRF \
          scaled in proportion), normalized to OoO@350; plus full-window stall fraction",
     );
-    let set = sweep_set(opts);
-    let robs = [128usize, 192, 224, 350, 512];
     let mut t =
         Table::new(&["ROB", "OoO IPC", "VR IPC", "OoO norm", "VR norm", "VR/OoO", "stall%"]);
+    // Each ROB size's chunk is (OoO, VR) per sweep workload.
+    let per_rob = res.len() / ROB_SIZES.len();
+    let ooo = |runs: &[Option<SimStats>], f: fn(&SimStats) -> f64| -> Vec<Option<f64>> {
+        runs.iter().step_by(2).map(|s| s.as_ref().map(f)).collect()
+    };
+    let vr = |runs: &[Option<SimStats>]| -> Vec<Option<f64>> {
+        runs.iter().skip(1).step_by(2).map(|s| s.as_ref().map(SimStats::ipc)).collect()
+    };
+    // Normalized to Table 1's ROB size, one of the swept sizes.
+    let table1 = CoreConfig::table1().rob;
+    let at = ROB_SIZES.iter().position(|&rob| rob == table1).expect("Table 1's ROB is swept");
+    let base = ooo(&res[at * per_rob..][..per_rob], SimStats::ipc);
+    let norm = |ipcs: &[Option<f64>]| -> Vec<Option<f64>> {
+        ipcs.iter().zip(&base).map(|(x, b)| Some(x.as_ref()? / b.as_ref()?)).collect()
+    };
     // Geometric aggregation across the sweep set.
-    let base350 = parallel_map(&set, opts.threads, |w| {
-        run_technique(w, CoreConfig::with_rob_scaled(350), Technique::Baseline, opts.insts).ipc()
-    });
-    // Fan the full (ROB × workload) cross product in one batch so the
-    // pool never drains between sweep steps.
-    let points: Vec<(usize, &Workload)> =
-        robs.iter().flat_map(|&r| set.iter().map(move |w| (r, w))).collect();
-    let measured = parallel_map(&points, opts.threads, |&(rob, w)| {
-        eprintln!("  [run] rob={rob} {} …", w.name);
-        let core = CoreConfig::with_rob_scaled(rob);
-        let b = run_technique(w, core.clone(), Technique::Baseline, opts.insts);
-        let v = run_technique(w, core, Technique::Vr, opts.insts);
-        (b.ipc(), v.ipc(), b.full_rob_stall_fraction())
-    });
-    for (ri, rob) in robs.into_iter().enumerate() {
-        let mut ooo_norm = Vec::new();
-        let mut vr_norm = Vec::new();
-        let mut ooo_ipc = Vec::new();
-        let mut vr_ipc = Vec::new();
-        let mut stall = Vec::new();
-        for i in 0..set.len() {
-            let (b_ipc, v_ipc, b_stall) = measured[ri * set.len() + i];
-            ooo_ipc.push(b_ipc);
-            vr_ipc.push(v_ipc);
-            ooo_norm.push(b_ipc / base350[i]);
-            vr_norm.push(v_ipc / base350[i]);
-            stall.push(b_stall);
-        }
-        let gm = |v: &[f64]| (v.iter().map(|x| x.ln()).sum::<f64>() / v.len() as f64).exp();
-        let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+    let gm = |v: &[f64]| (v.iter().map(|x| x.ln()).sum::<f64>() / v.len() as f64).exp();
+    let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+    for (rob, runs) in ROB_SIZES.into_iter().zip(res.chunks_exact(per_rob)) {
+        let (ooo_ipc, vr_ipc) = (ooo(runs, SimStats::ipc), vr(runs));
+        let (ooo_gm, vr_gm) = (aggregate(&ooo_ipc, gm), aggregate(&vr_ipc, gm));
+        let stall = ooo(runs, SimStats::full_rob_stall_fraction);
         t.row(vec![
             rob.to_string(),
-            format!("{:.3}", gm(&ooo_ipc)),
-            format!("{:.3}", gm(&vr_ipc)),
-            ratio(gm(&ooo_norm)),
-            ratio(gm(&vr_norm)),
-            ratio(gm(&vr_ipc) / gm(&ooo_ipc)),
-            pct(avg(&stall)),
+            hole_cell(ooo_gm, |v| format!("{v:.3}")),
+            hole_cell(vr_gm, |v| format!("{v:.3}")),
+            hole_cell(aggregate(&norm(&ooo_ipc), gm), ratio),
+            hole_cell(aggregate(&norm(&vr_ipc), gm), ratio),
+            hole_cell(vr_gm.zip(ooo_gm).map(|(v, o)| v / o), ratio),
+            hole_cell(aggregate(&stall, avg), pct),
         ]);
     }
     r.push_table("sweep", t);
-    vec![r]
+    r
 }
 
 // ---------------------------------------------------------------- fig 8
 
-fn fig_breakdown(opts: &Opts) -> Vec<Report> {
+fn fig_breakdown(_opts: &Opts, points: &[CampaignPoint], res: &[Option<SimStats>]) -> Report {
     let mut r = Report::new(
         "fig-breakdown",
         "Fig. breakdown: VR, +eager (decoupled) trigger, +loop-bound discovery \
          [extensions], normalized to baseline",
     );
-    let set = sweep_set(opts);
-    let mut t = Table::new(&["benchmark", "VR", "+eager", "+eager+discovery"]);
-    let mut agg = [Vec::new(), Vec::new(), Vec::new()];
-    let results = parallel_map(&set, opts.threads, |w| {
-        eprintln!("  [run] {} …", w.name);
-        let base = run_technique(w, CoreConfig::table1(), Technique::Baseline, opts.insts);
-        let variants = [
-            RunaheadConfig::vector(),
-            RunaheadConfig { eager_trigger: true, ..RunaheadConfig::vector() },
-            RunaheadConfig {
-                eager_trigger: true,
-                loop_bound_discovery: true,
-                ..RunaheadConfig::vector()
-            },
-        ];
-        variants.map(|ra| {
-            run_custom(w, CoreConfig::table1(), MemConfig::table1(), ra, opts.insts)
-                .speedup_over(&base)
-        })
-    });
-    for (w, sps) in set.iter().zip(&results) {
-        let mut cells = vec![w.name.clone()];
-        for (i, &sp) in sps.iter().enumerate() {
-            agg[i].push(sp);
-            cells.push(ratio(sp));
-        }
-        t.row(cells);
-    }
-    for (name, a) in ["hmean_VR", "hmean_eager", "hmean_eager_discovery"].iter().zip(&agg) {
-        r.metric(name, harmonic_mean(a));
-    }
-    t.row(vec![
-        "h-mean".into(),
-        ratio(harmonic_mean(&agg[0])),
-        ratio(harmonic_mean(&agg[1])),
-        ratio(harmonic_mean(&agg[2])),
-    ]);
-    r.push_table("speedup", t);
-    vec![r]
+    let variants = vr_bench::points::breakdown_variants();
+    let rows = variant_speedups(points, res, 1 + variants.len());
+    let metrics: Vec<String> =
+        variants.iter().map(|(label, _)| format!("hmean_{}", label.replace('+', "_"))).collect();
+    let headers = ["benchmark", "VR", "+eager", "+eager+discovery"];
+    push_speedup_table(&mut r, &headers, rows, &metrics);
+    r
 }
 
 // ---------------------------------------------------------------- fig 9
 
-fn fig_mlp(opts: &Opts) -> Vec<Report> {
+fn fig_mlp(_opts: &Opts, points: &[CampaignPoint], res: &[Option<SimStats>]) -> Report {
     let mut r =
         Report::new("fig-mlp", "Fig. MLP: average outstanding L1-D misses (MSHRs used per cycle)");
-    let set = build_set(opts);
     let mut t = Table::new(&["benchmark", "OoO", "VR"]);
-    let results = parallel_map(&set, opts.threads, |w| {
-        eprintln!("  [run] {} …", w.name);
-        let b = run_technique(w, CoreConfig::table1(), Technique::Baseline, opts.insts);
-        let v = run_technique(w, CoreConfig::table1(), Technique::Vr, opts.insts);
-        (b.mlp(), v.mlp())
-    });
-    for (w, (b_mlp, v_mlp)) in set.iter().zip(&results) {
-        t.row(vec![w.name.clone(), format!("{b_mlp:.2}"), format!("{v_mlp:.2}")]);
+    let mlp = |s: &Option<SimStats>| hole_cell(s.as_ref(), |s| format!("{:.2}", s.mlp()));
+    for (p, runs) in points.chunks_exact(2).zip(res.chunks_exact(2)) {
+        t.row(vec![p[0].workload.name.clone(), mlp(&runs[0]), mlp(&runs[1])]);
     }
     r.push_table("mlp", t);
-    vec![r]
+    r
 }
 
 // ---------------------------------------------------------------- fig 10
 
-fn fig_accuracy(opts: &Opts) -> Vec<Report> {
+fn fig_accuracy(_opts: &Opts, points: &[CampaignPoint], res: &[Option<SimStats>]) -> Report {
     let mut r = Report::new(
         "fig-accuracy",
         "Fig. accuracy/coverage: DRAM line reads normalized to the baseline, \
          split main thread vs runahead",
     );
-    let set = build_set(opts);
     let mut t = Table::new(&["benchmark", "OoO total", "VR main", "VR runahead", "VR total(norm)"]);
-    let results = parallel_map(&set, opts.threads, |w| {
-        eprintln!("  [run] {} …", w.name);
-        let b = run_technique(w, CoreConfig::table1(), Technique::Baseline, opts.insts);
-        let v = run_technique(w, CoreConfig::table1(), Technique::Vr, opts.insts);
-        (b, v)
-    });
-    for (w, (b, v)) in set.iter().zip(&results) {
-        let bt = b.mem.dram_reads_total() as f64;
-        let main = v.mem.dram_reads_by(Requestor::Main) as f64;
-        let ra = v.mem.dram_reads_by(Requestor::Runahead) as f64;
-        let vt = v.mem.dram_reads_total() as f64;
+    for (p, runs) in points.chunks_exact(2).zip(res.chunks_exact(2)) {
+        let bt = runs[0].as_ref().map(|b| b.mem.dram_reads_total() as f64);
+        let vr = runs[1].as_ref();
+        let norm = |reads: fn(&SimStats) -> u64| {
+            hole_cell(vr.zip(bt).map(|(v, bt)| reads(v) as f64 / bt), |x| format!("{x:.2}"))
+        };
         t.row(vec![
-            w.name.clone(),
-            format!("{bt:.0}"),
-            format!("{:.2}", main / bt),
-            format!("{:.2}", ra / bt),
-            format!("{:.2}", vt / bt),
+            p[0].workload.name.clone(),
+            hole_cell(bt, |bt| format!("{bt:.0}")),
+            norm(|v| v.mem.dram_reads_by(Requestor::Main)),
+            norm(|v| v.mem.dram_reads_by(Requestor::Runahead)),
+            norm(|v| v.mem.dram_reads_total()),
         ]);
     }
     r.push_table("dram-reads", t);
-    vec![r]
+    r
 }
 
 // ---------------------------------------------------------------- fig 11
 
-fn fig_timeliness(opts: &Opts) -> Vec<Report> {
+fn fig_timeliness(_opts: &Opts, points: &[CampaignPoint], res: &[Option<SimStats>]) -> Report {
     let mut r = Report::new(
         "fig-timeliness",
         "Fig. timeliness: where the main thread finds runahead-prefetched lines",
     );
-    let set = build_set(opts);
     let mut t = Table::new(&["benchmark", "L1", "L2", "L3", "off-chip"]);
-    let results = parallel_map(&set, opts.threads, |w| {
-        eprintln!("  [run] {} …", w.name);
-        run_technique(w, CoreConfig::table1(), Technique::Vr, opts.insts).mem.timeliness_fractions()
-    });
-    for (w, f) in set.iter().zip(&results) {
-        t.row(vec![w.name.clone(), pct(f[0]), pct(f[1]), pct(f[2]), pct(f[3])]);
+    for (p, s) in points.iter().zip(res) {
+        let f = s.as_ref().map(|s| s.mem.timeliness_fractions());
+        let mut cells = vec![p.workload.name.clone()];
+        cells.extend((0..4).map(|i| hole_cell(f.map(|f| f[i]), pct)));
+        t.row(cells);
     }
     r.push_table("timeliness", t);
-    vec![r]
+    r
 }
 
 // ---------------------------------------------------------------- veclen
 
-fn fig_veclen(opts: &Opts) -> Vec<Report> {
+fn fig_veclen(_opts: &Opts, points: &[CampaignPoint], res: &[Option<SimStats>]) -> Report {
+    use vr_bench::points::VR_LANES;
     let mut r = Report::new(
         "fig-veclen",
         "Fig. vector length: VR speedup over baseline vs vectorization degree K",
     );
-    let set = sweep_set(opts);
-    let lanes = [16usize, 32, 64, 128];
-    let mut t = Table::new(&["benchmark", "K=16", "K=32", "K=64", "K=128"]);
-    let mut agg = vec![Vec::new(); lanes.len()];
-    let results = parallel_map(&set, opts.threads, |w| {
-        eprintln!("  [run] {} …", w.name);
-        let base = run_technique(w, CoreConfig::table1(), Technique::Baseline, opts.insts);
-        lanes.map(|k| {
-            let ra = RunaheadConfig { vr_lanes: k, ..RunaheadConfig::vector() };
-            run_custom(w, CoreConfig::table1(), MemConfig::table1(), ra, opts.insts)
-                .speedup_over(&base)
-        })
-    });
-    for (w, sps) in set.iter().zip(&results) {
-        let mut cells = vec![w.name.clone()];
-        for (i, &sp) in sps.iter().enumerate() {
-            agg[i].push(sp);
-            cells.push(ratio(sp));
-        }
-        t.row(cells);
-    }
-    let mut hm = vec!["h-mean".to_string()];
-    for (k, a) in lanes.iter().zip(&agg) {
-        let h = harmonic_mean(a);
-        r.metric(&format!("hmean_K{k}"), h);
-        hm.push(ratio(h));
-    }
-    t.row(hm);
-    r.push_table("speedup", t);
-    vec![r]
+    let rows = variant_speedups(points, res, 1 + VR_LANES.len());
+    let labels: Vec<String> = VR_LANES.iter().map(|k| format!("K={k}")).collect();
+    let mut headers = vec!["benchmark"];
+    headers.extend(labels.iter().map(String::as_str));
+    let metrics: Vec<String> = VR_LANES.iter().map(|k| format!("hmean_K{k}")).collect();
+    push_speedup_table(&mut r, &headers, rows, &metrics);
+    r
 }
 
 // ---------------------------------------------------------------- interval
 
-fn fig_interval(opts: &Opts) -> Vec<Report> {
+fn fig_interval(_opts: &Opts, points: &[CampaignPoint], res: &[Option<SimStats>]) -> Report {
     let mut r = Report::new(
         "fig-interval",
         "Fig. trigger/interval statistics (VR): entries, runahead-time, \
          full-window stall, delayed-termination commit stall",
     );
-    let set = build_set(opts);
     let mut t = Table::new(&[
         "benchmark",
         "entries",
@@ -1205,26 +1185,23 @@ fn fig_interval(opts: &Opts) -> Vec<Report> {
         "lanes",
         "inv",
     ]);
-    let results = parallel_map(&set, opts.threads, |w| {
-        eprintln!("  [run] {} …", w.name);
-        let b = run_technique(w, CoreConfig::table1(), Technique::Baseline, opts.insts);
-        let v = run_technique(w, CoreConfig::table1(), Technique::Vr, opts.insts);
-        (b, v)
-    });
-    for (w, (b, v)) in set.iter().zip(&results) {
+    for (p, runs) in points.chunks_exact(2).zip(res.chunks_exact(2)) {
+        let (b, v) = (runs[0].as_ref(), runs[1].as_ref());
+        let count = |f: fn(&SimStats) -> u64| hole_cell(v, |v| f(v).to_string());
+        let frac = |f: fn(&SimStats) -> u64| hole_cell(v, |v| pct(f(v) as f64 / v.cycles as f64));
         t.row(vec![
-            w.name.clone(),
-            v.runahead_entries.to_string(),
-            pct(v.runahead_cycles as f64 / v.cycles as f64),
-            pct(b.full_rob_stall_fraction()),
-            pct(v.delayed_termination_stall_cycles as f64 / v.cycles as f64),
-            v.vr_batches.to_string(),
-            v.vr_lanes_spawned.to_string(),
-            v.vr_lanes_invalidated.to_string(),
+            p[0].workload.name.clone(),
+            count(|v| v.runahead_entries),
+            frac(|v| v.runahead_cycles),
+            hole_cell(b, |b| pct(b.full_rob_stall_fraction())),
+            frac(|v| v.delayed_termination_stall_cycles),
+            count(|v| v.vr_batches),
+            count(|v| v.vr_lanes_spawned),
+            count(|v| v.vr_lanes_invalidated),
         ]);
     }
     r.push_table("intervals", t);
-    vec![r]
+    r
 }
 
 // ---------------------------------------------------------------- ablations
@@ -1232,97 +1209,38 @@ fn fig_interval(opts: &Opts) -> Vec<Report> {
 /// Design-choice ablations of the VR engine implementation (the
 /// choices DESIGN.md §4 calls out): VIR pipelining, reconvergence,
 /// bounded termination.
-fn fig_ablation(opts: &Opts) -> Vec<Report> {
+fn fig_ablation(_opts: &Opts, points: &[CampaignPoint], res: &[Option<SimStats>]) -> Report {
     let mut r = Report::new(
         "fig-ablation",
         "Fig. design ablations: VR variants, speedup over the baseline OoO",
     );
-    let set = sweep_set(opts);
-    let variants: [(&str, RunaheadConfig); 4] = [
-        ("VR", RunaheadConfig::vector()),
-        ("no VIR pipelining", RunaheadConfig { vir_pipelining: false, ..RunaheadConfig::vector() }),
-        ("+reconvergence", RunaheadConfig { reconvergence: true, ..RunaheadConfig::vector() }),
-        (
-            "+bounded term (64)",
-            RunaheadConfig { termination_slack: Some(64), ..RunaheadConfig::vector() },
-        ),
-    ];
-    let mut t = Table::new(&["benchmark", "VR", "no-pipe", "+reconv", "+bounded"]);
-    let mut agg = vec![Vec::new(); variants.len()];
-    let results = parallel_map(&set, opts.threads, |w| {
-        eprintln!("  [run] {} …", w.name);
-        let base = run_technique(w, CoreConfig::table1(), Technique::Baseline, opts.insts);
-        variants
-            .clone()
-            .map(|(_, ra)| {
-                run_custom(w, CoreConfig::table1(), MemConfig::table1(), ra, opts.insts)
-                    .speedup_over(&base)
-            })
-            .to_vec()
-    });
-    for (w, sps) in set.iter().zip(&results) {
-        let mut cells = vec![w.name.clone()];
-        for (i, &sp) in sps.iter().enumerate() {
-            agg[i].push(sp);
-            cells.push(ratio(sp));
-        }
-        t.row(cells);
-    }
-    let mut hm = vec!["h-mean".to_string()];
-    for a in &agg {
-        hm.push(ratio(harmonic_mean(a)));
-    }
-    t.row(hm);
-    r.push_table("speedup", t);
-    vec![r]
+    let n = 1 + vr_bench::points::ablation_variants().len();
+    let rows = variant_speedups(points, res, n);
+    let headers = ["benchmark", "VR", "no-pipe", "+reconv", "+bounded"];
+    push_speedup_table(&mut r, &headers, rows, &[]);
+    r
 }
 
 /// Sensitivity to the MSHR count — the resource VR saturates.
-fn fig_mshr(opts: &Opts) -> Vec<Report> {
+fn fig_mshr(_opts: &Opts, points: &[CampaignPoint], res: &[Option<SimStats>]) -> Report {
+    use vr_bench::points::MSHR_COUNTS;
     let mut r =
         Report::new("fig-mshr", "Fig. MSHR sensitivity: VR speedup over same-MSHR baseline");
-    let set = sweep_set(opts);
-    let counts = [8usize, 16, 24, 48];
-    let mut t = Table::new(&["benchmark", "8", "16", "24", "48"]);
-    let mut agg = vec![Vec::new(); counts.len()];
-    let mut holed = vec![false; counts.len()];
-    let results = parallel_map(&set, opts.threads, |w| {
-        eprintln!("  [run] {} …", w.name);
-        counts.map(|m| {
-            let mem_cfg = MemConfig { mshrs: m, ..MemConfig::table1() };
-            let base = run_custom(
-                w,
-                CoreConfig::table1(),
-                mem_cfg.clone(),
-                RunaheadConfig::none(),
-                opts.insts,
-            );
-            let vr =
-                run_custom(w, CoreConfig::table1(), mem_cfg, RunaheadConfig::vector(), opts.insts);
-            (base, vr)
+    // Per workload, an (OoO, VR) pair per MSHR count.
+    let n = 2 * MSHR_COUNTS.len();
+    let rows = points
+        .chunks_exact(n)
+        .zip(res.chunks_exact(n))
+        .map(|(p, runs)| {
+            let sps = runs.chunks_exact(2).map(|pair| speedup(&pair[0], &pair[1])).collect();
+            (p[0].workload.name.clone(), sps)
         })
-    });
-    for (w, row) in set.iter().zip(&results) {
-        let mut cells = vec![w.name.clone()];
-        for (i, (base, vr)) in row.iter().enumerate() {
-            // A poisoned point degrades to an explicit HOLE cell (and
-            // taints the column aggregate) instead of aborting.
-            if is_hole(base) || is_hole(vr) {
-                holed[i] = true;
-            } else {
-                agg[i].push(vr.speedup_over(base));
-            }
-            cells.push(holey(&[base, vr], ratio(vr.speedup_over(base))));
-        }
-        t.row(cells);
-    }
-    let mut hm = vec!["h-mean".to_string()];
-    for (a, &tainted) in agg.iter().zip(&holed) {
-        hm.push(if tainted { "HOLE".to_string() } else { ratio(harmonic_mean(a)) });
-    }
-    t.row(hm);
-    r.push_table("speedup", t);
-    vec![r]
+        .collect();
+    let counts: Vec<String> = MSHR_COUNTS.iter().map(usize::to_string).collect();
+    let mut headers = vec!["benchmark"];
+    headers.extend(counts.iter().map(String::as_str));
+    push_speedup_table(&mut r, &headers, rows, &[]);
+    r
 }
 
 // ---------------------------------------------------------------- fig chip
@@ -1333,27 +1251,20 @@ fn fig_mshr(opts: &Opts) -> Vec<Report> {
 /// point costs N single-core budgets, and the contention columns are
 /// a capability artifact rather than a paper figure.
 fn fig_chip(opts: &Opts) -> Vec<Report> {
-    use vr_bench::{is_chip_hole, run_chip_point, tainted_harmonic_mean};
+    use vr_bench::tainted_harmonic_mean;
     let mut r = Report::new(
         "fig-chip",
         &format!(
             "Fig. chip: VR under shared-LLC contention, N ∈ {:?} cores (budget {} insts/core)",
             vr_bench::points::CHIP_CORE_COUNTS,
-            opts.insts
+            opts.fig.insts
         ),
     );
-    let fig_opts = vr_bench::points::FigureOpts {
-        insts: opts.insts,
-        presets: opts.presets.clone(),
-        scale: opts.scale,
-    };
-    let points = vr_bench::points::chip_points("fig-chip", &fig_opts).expect("fig-chip enumerates");
+    let points = vr_bench::points::chip_points("fig-chip", &opts.fig).expect("fig-chip enumerates");
     // One pool task per chip point: each point steps its cores in
     // lockstep internally, so the fan-out axis is the point list.
-    let runs = parallel_map(&points, opts.threads, |p| {
-        eprintln!("  [run] {} …", p.label);
-        run_chip_point(p)
-    });
+    let (runs, holes) = run_points(&points, opts.store.as_ref(), opts.threads);
+    r.holes = holes;
 
     // Chip-level fast-forward telemetry (the `chip_ff` attachment in
     // the JSON export): how the chip *simulated*, never
@@ -1389,7 +1300,6 @@ fn fig_chip(opts: &Opts) -> Vec<Report> {
         let ipcs: Vec<f64> = run.per_core.iter().map(|s| s.ipc()).collect();
         tainted_harmonic_mean(&ipcs).0
     };
-    let cell = |hole: bool, v: String| if hole { "HOLE".to_string() } else { v };
 
     // Per-point contention census: the shared-LLC counters only a
     // chip-level run can produce (all zero at N=1 — no shared LLC).
@@ -1403,22 +1313,26 @@ fn fig_chip(opts: &Opts) -> Vec<Report> {
         "LLC hit%",
     ]);
     for (p, run) in points.iter().zip(&runs) {
-        let hole = is_chip_hole(run);
-        let hm = per_core_hmean(run);
-        let lookups = run.chip.llc_hits + run.chip.llc_misses;
-        let hitpct = if lookups == 0 { 0.0 } else { run.chip.llc_hits as f64 / lookups as f64 };
-        if !hole {
-            r.metric(&format!("ipc_{}", p.label), hm);
-            r.metric(&format!("bank_conflicts_{}", p.label), run.chip.bank_conflicts as f64);
+        let chip = run.as_ref().map(|run| run.chip);
+        let ipc =
+            r.metric_cell(&format!("ipc_{}", p.label), run.as_ref().map(per_core_hmean), |v| {
+                format!("{v:.3}")
+            });
+        if let Some(c) = chip {
+            r.metric(&format!("bank_conflicts_{}", p.label), c.bank_conflicts as f64);
         }
+        let count = |f: fn(&vr_chip::ChipStats) -> u64| hole_cell(chip, |c| f(&c).to_string());
         t.row(vec![
             p.label.clone(),
             p.chip.cores.to_string(),
-            cell(hole, format!("{hm:.3}")),
-            cell(hole, run.chip.bank_conflicts.to_string()),
-            cell(hole, run.chip.arbitration_stall_cycles.to_string()),
-            cell(hole, run.chip.shared_mshr_rejections.to_string()),
-            cell(hole, pct(hitpct)),
+            ipc,
+            count(|c| c.bank_conflicts),
+            count(|c| c.arbitration_stall_cycles),
+            count(|c| c.shared_mshr_rejections),
+            hole_cell(chip, |c| {
+                let lookups = c.llc_hits + c.llc_misses;
+                pct(if lookups == 0 { 0.0 } else { c.llc_hits as f64 / lookups as f64 })
+            }),
         ]);
     }
     r.push_table("contention", t);
@@ -1428,26 +1342,25 @@ fn fig_chip(opts: &Opts) -> Vec<Report> {
     // pairs, so adjacent runs pair up.
     let mut s = Table::new(&["placement", "cores", "OoO IPC", "VR IPC", "VR/OoO"]);
     let mut chart = BarChart::new("VR speedup over OoO under shared-LLC contention");
-    for (pp, rr) in points.chunks(2).zip(runs.chunks(2)) {
-        let ([po, pv], [ro, rv]) = (pp, rr) else { continue };
+    for (pp, rr) in points.chunks_exact(2).zip(runs.chunks_exact(2)) {
+        let (po, pv) = (&pp[0], &pp[1]);
         assert!(
             po.label.ends_with("/OoO") && pv.label.ends_with("/VR"),
             "enumeration must pair OoO/VR"
         );
-        let hole = is_chip_hole(ro) || is_chip_hole(rv);
-        let (o_ipc, v_ipc) = (per_core_hmean(ro), per_core_hmean(rv));
-        let sp = v_ipc / o_ipc;
+        let ipcs =
+            rr[0].as_ref().zip(rr[1].as_ref()).map(|(o, v)| (per_core_hmean(o), per_core_hmean(v)));
         let name = po.label.trim_end_matches("/OoO").trim_start_matches("fig-chip/");
-        if !hole {
-            r.metric(&format!("speedup_{name}"), sp);
+        let sp = r.metric_cell(&format!("speedup_{name}"), ipcs.map(|(o, v)| v / o), |sp| {
             chart.bar(name, sp);
-        }
+            ratio(sp)
+        });
         s.row(vec![
             name.to_string(),
             po.chip.cores.to_string(),
-            cell(hole, format!("{o_ipc:.3}")),
-            cell(hole, format!("{v_ipc:.3}")),
-            cell(hole, ratio(sp)),
+            hole_cell(ipcs, |(o, _)| format!("{o:.3}")),
+            hole_cell(ipcs, |(_, v)| format!("{v:.3}")),
+            sp,
         ]);
     }
     r.push_table("speedup", s);
@@ -1487,7 +1400,7 @@ fn trace_cmd(opts: &Opts) -> Vec<Report> {
     const CONTEXT: usize = 8;
     /// Cap on retained records (~80 B each) for huge `--insts` budgets.
     const MAX_RETAINED: usize = 1 << 18;
-    let set = build_set(opts);
+    let set = full_workload_set(&opts.fig);
     let names = || set.iter().map(|w| w.name.as_str()).collect::<Vec<_>>().join(" ");
     let Some(name) = &opts.workload else {
         eprintln!("error: trace requires a workload name\navailable: {}", names());
@@ -1506,9 +1419,10 @@ fn trace_cmd(opts: &Opts) -> Vec<Report> {
         w.memory.clone(),
         &w.init_regs,
     );
-    sim.enable_trace(usize::try_from(opts.insts).unwrap_or(MAX_RETAINED).min(MAX_RETAINED));
+    let insts = opts.fig.insts;
+    sim.enable_trace(usize::try_from(insts).unwrap_or(MAX_RETAINED).min(MAX_RETAINED));
     sim.enable_telemetry(4096);
-    let stats = sim.try_run(opts.insts).unwrap_or_else(|e| {
+    let stats = sim.try_run(insts).unwrap_or_else(|e| {
         eprintln!("error: {name}: {e}");
         std::process::exit(1);
     });
@@ -1609,18 +1523,19 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
         &format!(
             "Perf report: simulation throughput (KIPS) + harness wall time \
              ({} insts/run, {} threads)",
-            opts.insts, opts.threads
+            opts.fig.insts, opts.threads
         ),
     );
 
     // --- per-point KIPS, measured with the micro-benchmark runner.
-    let set = build_set(opts);
+    let insts_per_run = opts.fig.insts;
+    let set = full_workload_set(&opts.fig);
     let mut runner = Runner::new("sim");
     runner.samples = 5;
     runner.sample_time = Duration::from_millis(20);
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"schema\": \"vr-bench-perf-report-v6\",");
-    let _ = writeln!(json, "  \"insts_per_run\": {},", opts.insts);
+    let _ = writeln!(json, "  \"schema\": \"vr-bench-perf-report-v7\",");
+    let _ = writeln!(json, "  \"insts_per_run\": {insts_per_run},");
     let _ = writeln!(json, "  \"threads\": {},", opts.threads);
     json.push_str("  \"kips\": [\n");
     let mut t = Table::new(&["workload", "tech", "KIPS", "VR/OoO"]);
@@ -1634,9 +1549,9 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
     for (wi, w) in set.iter().enumerate() {
         let mut baseline_kips = f64::NAN;
         for (ti, tech) in techs.into_iter().enumerate() {
-            let insts = run_technique(w, CoreConfig::table1(), tech, opts.insts).instructions;
+            let insts = run_technique(w, CoreConfig::table1(), tech, insts_per_run).instructions;
             let m = runner.bench(&format!("{}/{}", w.name, tech.label()), || {
-                run_technique(w, CoreConfig::table1(), tech, opts.insts)
+                run_technique(w, CoreConfig::table1(), tech, insts_per_run)
             });
             let kips = insts as f64 / m.per_iter.as_secs_f64() / 1e3;
             all_kips.push(kips);
@@ -1708,7 +1623,7 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
     // cheap episode steps, broker installs) is exported alongside so a
     // KIPS regression can be localized without re-running anything.
     {
-        let w = vr_workloads::hpcdb::kangaroo(opts.scale);
+        let w = vr_workloads::hpcdb::kangaroo(opts.fig.scale);
         let mut primary = None;
         let mut scaling = Vec::new();
         let mut ff_json = None;
@@ -1729,7 +1644,7 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
                 slots,
             );
             let t0 = Instant::now();
-            let run = chip.try_run(opts.insts).unwrap_or_else(|e| {
+            let run = chip.try_run(insts_per_run).unwrap_or_else(|e| {
                 eprintln!("error: chip perf point ({cores} cores): {e}");
                 std::process::exit(1);
             });
@@ -1740,7 +1655,7 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
             let cells: Vec<String> = per_core.iter().map(|k| format!("{k:.0}")).collect();
             ct.row(vec![
                 cores.to_string(),
-                opts.insts.to_string(),
+                insts_per_run.to_string(),
                 cells.join(" "),
                 format!("{aggregate:.0}"),
             ]);
@@ -1761,26 +1676,12 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
         }
         rep.push_table("chip", ct);
         let mut chip_kips = primary.expect("the 4-core chip point always runs");
-        chip_kips.insert(1, ("insts_per_core".into(), Json::U64(opts.insts)));
+        chip_kips.insert(1, ("insts_per_core".into(), Json::U64(insts_per_run)));
         chip_kips.push(("scaling".into(), Json::Arr(scaling)));
         chip_kips
             .push(("chip_ff".into(), ff_json.expect("telemetry captured with the 4-core point")));
         let _ = writeln!(json, "  \"chip_kips\": {},", Json::Obj(chip_kips));
     }
-    // Result-store effectiveness for this process (zeros when no
-    // --cache was given): CI trends hit rates alongside throughput.
-    let cc = vr_bench::cache::counters().unwrap_or_default();
-    let _ = writeln!(
-        json,
-        "  \"cache\": {{\"enabled\": {}, \"hits\": {}, \"misses\": {}, \"writes\": {}, \
-         \"stale\": {}, \"quarantined\": {}}},",
-        vr_bench::cache::active().is_some(),
-        cc.hits,
-        cc.misses,
-        cc.writes,
-        cc.stale,
-        cc.quarantined
-    );
     rep.push_table("kips", t);
     rep.metric("kips_hmean", hmean_kips);
     rep.metric("vr_ooo_kips_ratio_hmean", hmean_ratio);
@@ -1796,18 +1697,17 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
     // window, so serialized stdout and figure setup swamped the pool
     // and the recorded speedup sat at ~1.0 regardless of thread count.
     // Rendering now happens strictly after both clocks stop.
-    type Figure = (&'static str, fn(&Opts) -> Vec<Report>);
-    let figures: [Figure; 2] = [("table2", table2), ("fig-mlp", fig_mlp)];
+    let figures = ["table2", "fig-mlp"];
     // Warm the sweep pool outside every timed window so neither side
     // pays the one-off thread spawn.
     vr_bench::parallel_map(&[0u8; 64], opts.threads, |_| ());
     json.push_str("  \"figures\": [\n");
-    for (fi, (id, f)) in figures.into_iter().enumerate() {
+    for (fi, id) in figures.into_iter().enumerate() {
+        let cmd = command(id).expect("timed figures exist");
         let serial = Opts {
-            insts: opts.insts,
-            presets: opts.presets.clone(),
-            scale: opts.scale,
+            fig: opts.fig.clone(),
             threads: 1,
+            store: None,
             workload: None,
             figure: None,
             cancel_after_ms: None,
@@ -1821,7 +1721,7 @@ fn perf_report(opts: &Opts) -> Vec<Report> {
         let timed = |o: &Opts| {
             vr_bench::reset_parallel_region();
             let t0 = Instant::now();
-            let reports = f(o);
+            let reports = cmd.execute(o);
             let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
             let par_ms = vr_bench::parallel_region_nanos() as f64 / 1e6;
             // Render outside the timed window: the figure output still
@@ -1936,4 +1836,19 @@ fn fault_oracle(_opts: &Opts) -> Vec<Report> {
         "all runs bit-identical to the no-runahead baseline"
     });
     vec![rep]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn figure_commands_are_exactly_the_cached_figures() {
+        let mut figures: Vec<&str> =
+            COMMANDS.iter().filter(|c| matches!(c.run, Figure(_))).map(|c| c.id).collect();
+        let mut cached = vr_bench::points::CACHED_FIGURES.to_vec();
+        figures.sort_unstable();
+        cached.sort_unstable();
+        assert_eq!(figures, cached, "a cached figure must render from its point list");
+    }
 }

@@ -11,7 +11,6 @@
 //! ```
 
 pub mod alloc;
-pub mod cache;
 pub mod micro;
 pub mod points;
 pub mod report;
@@ -20,8 +19,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
-use vr_campaign::WorkerPool;
-use vr_core::{CoreConfig, RunaheadConfig, RunaheadKind, SimStats, Simulator};
+use vr_campaign::{
+    ExecCtx, Executor, PoisonRecord, ResultStore, SimExecutor, SweepPoint, WorkerPool,
+};
+use vr_core::{CoreConfig, RunaheadConfig, RunaheadKind, SimStats, Simulator, StopFlag};
 use vr_mem::MemConfig;
 use vr_workloads::{gap_suite, graph::GraphPreset, hpcdb_suite, Scale, Workload};
 
@@ -31,8 +32,8 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
 }
 
-/// Wall time accumulated inside parallel regions ([`parallel_map`] /
-/// [`parallel_map_chunked`]) since the last reset, in nanoseconds.
+/// Wall time accumulated inside parallel regions ([`parallel_map`])
+/// since the last reset, in nanoseconds.
 /// The perf-report harness brackets each figure with
 /// [`reset_parallel_region`]/[`parallel_region_nanos`] so its
 /// `pool_speedup` measures the pool, not the serialized rendering and
@@ -94,8 +95,7 @@ fn adaptive_chunk(len: usize, threads: usize) -> usize {
 ///   callers observe serial order regardless of completion order.
 ///
 /// Work is distributed dynamically through an atomic cursor over
-/// claim batches sized by the item count (see
-/// [`parallel_map_chunked`] for an explicit batch size), and the
+/// claim batches sized by the item count, and the
 /// workers are persistent ([`WorkerPool`]) — two fixes for the
 /// flat `pool_speedup` the old per-call-spawn, one-item-per-claim
 /// runner measured. Hand-rolled on `std` only: the workspace is
@@ -119,7 +119,7 @@ where
 /// claims `chunk` consecutive items per atomic `fetch_add` instead of
 /// one. `chunk = 1` reproduces the old fine-grained claiming; results
 /// are identical (and in input order) for every chunk size.
-pub fn parallel_map_chunked<T, R, F>(items: &[T], threads: usize, chunk: usize, f: F) -> Vec<R>
+fn parallel_map_chunked<T, R, F>(items: &[T], threads: usize, chunk: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -220,21 +220,11 @@ pub fn run_technique(w: &Workload, core: CoreConfig, tech: Technique, max_insts:
 }
 
 /// Runs `workload` with explicit configurations (for sweeps and
-/// ablations).
+/// ablations). Pure simulation: no store is consulted.
 ///
-/// This is the choke point every figure's simulations flow through:
-/// when a result store is enabled ([`cache::enable`], the CLI's
-/// `--cache DIR`), the point's fingerprint is looked up first and the
-/// simulation is skipped on a hit. Stored stats round-trip
-/// bit-identically, so cached and uncached figure output are
-/// byte-identical.
-/// Runs `workload` with explicit configurations, degrading instead of
-/// aborting when a store is active: a point the campaign has poisoned
-/// is skipped (its label is noted in [`cache::holes`] and the figure
-/// renders a `HOLE` cell via [`holey`]), and a fresh simulation
-/// failure is poisoned in the store and degraded the same way. With
-/// no store there is nowhere to record the failure, so a simulation
-/// error still panics — exactly the pre-store behaviour.
+/// # Panics
+///
+/// Panics with the simulation error if the run fails.
 pub fn run_custom(
     w: &Workload,
     core: CoreConfig,
@@ -242,123 +232,88 @@ pub fn run_custom(
     ra_cfg: RunaheadConfig,
     max_insts: u64,
 ) -> SimStats {
-    let Some(store) = cache::active() else {
-        return try_simulate(w, core, mem_cfg, ra_cfg, max_insts).unwrap_or_else(|e| panic!("{e}"));
-    };
-    let key = vr_campaign::point_key(w, &core, &mem_cfg, &ra_cfg, max_insts);
-    if let Some(stats) = store.load(key) {
-        return stats;
-    }
-    if store.is_poisoned(key) {
-        cache::note_hole(&w.name);
-        return hole_stats();
-    }
-    match try_simulate(w, core, mem_cfg, ra_cfg, max_insts) {
-        Ok(stats) => {
-            // A failed save degrades to "not cached", never to a
-            // failed run.
-            let _ = store.save(key, &w.name, &stats);
-            stats
-        }
-        Err(e) => {
-            let _ = store.poison(&vr_campaign::PoisonRecord {
-                key,
-                label: w.name.clone(),
-                error: e.to_string(),
-                attempts: 1,
-                deadline_trips: 0,
-            });
-            cache::note_hole(&w.name);
-            hole_stats()
-        }
-    }
-}
-
-/// Runs one multi-core [`ChipPoint`](vr_campaign::ChipPoint) with the
-/// same store/degrade semantics as [`run_custom`]: a store hit loads
-/// the decomposed per-core + chip records, a poisoned point degrades
-/// to a [`hole_chip_run`] (noted in [`cache::holes`]), a fresh failure
-/// is poisoned and degraded, and with no store a failure panics.
-pub fn run_chip_point(p: &vr_campaign::ChipPoint) -> vr_chip::ChipRun {
-    use vr_campaign::{ExecCtx, Executor, SimExecutor, SweepPoint};
-    let execute =
-        || SimExecutor.execute(p, &ExecCtx { attempt: 0, stop: vr_core::StopFlag::new() });
-    let Some(store) = cache::active() else {
-        return execute().unwrap_or_else(|e| panic!("{e}"));
-    };
-    if let Some(run) = p.load(store) {
-        return run;
-    }
-    if store.is_poisoned(p.key()) {
-        cache::note_hole(&p.label);
-        return hole_chip_run(p.slots.len());
-    }
-    match execute() {
-        Ok(run) => {
-            let _ = p.save(store, &run);
-            run
-        }
-        Err(e) => {
-            let _ = store.poison(&vr_campaign::PoisonRecord {
-                key: p.key(),
-                label: p.label.clone(),
-                error: e.to_string(),
-                attempts: 1,
-                deadline_trips: 0,
-            });
-            cache::note_hole(&p.label);
-            hole_chip_run(p.slots.len())
-        }
-    }
-}
-
-fn try_simulate(
-    w: &Workload,
-    core: CoreConfig,
-    mem_cfg: MemConfig,
-    ra_cfg: RunaheadConfig,
-    max_insts: u64,
-) -> Result<SimStats, vr_core::SimError> {
     let mut sim =
         Simulator::new(core, mem_cfg, ra_cfg, w.program.clone(), w.memory.clone(), &w.init_regs);
-    sim.try_run(max_insts)
+    sim.try_run(max_insts).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// The sentinel stats a poisoned (HOLE) point yields: all zeros. A
-/// real run can never finish with zero cycles, so [`is_hole`] is
-/// unambiguous, and every derived rate (IPC, speedup, MPKI) collapses
-/// to zero instead of dividing by garbage.
-pub fn hole_stats() -> SimStats {
-    SimStats::default()
+/// Runs every point of a figure once, fanned over `threads` workers
+/// ([`parallel_map`]), and returns one result per point in input
+/// order plus the labels of the points that became HOLEs.
+///
+/// With a `store`, each point is loaded first; a point the store has
+/// poisoned is skipped, and a fresh result is saved (a failed save
+/// degrades to "not cached", never to a failed run). A simulation
+/// failure is poisoned in the store. Both skipped and failed points
+/// yield `None`, a HOLE, and the figure renders `HOLE` for every cell
+/// derived from them ([`hole_cell`]). With no store there is nowhere to
+/// record a failure, so a simulation error panics.
+///
+/// Stored results round-trip bit-identically, so a figure rendered
+/// from cached results is byte-identical to an uncached run.
+///
+/// # Panics
+///
+/// Panics on a simulation error when `store` is `None`.
+pub fn run_points<P>(
+    points: &[P],
+    store: Option<&ResultStore>,
+    threads: usize,
+) -> (Vec<Option<P::Output>>, Vec<String>)
+where
+    P: SweepPoint,
+    SimExecutor: Executor<P>,
+{
+    let results = parallel_map(points, threads, |p| {
+        if let Some(store) = store {
+            if let Some(out) = p.load(store) {
+                return Some(out);
+            }
+            if store.is_poisoned(p.key()) {
+                return None;
+            }
+        }
+        eprintln!("  [run] {} …", p.label());
+        match SimExecutor.execute(p, &ExecCtx { attempt: 0, stop: StopFlag::new() }) {
+            Ok(out) => {
+                if let Some(store) = store {
+                    let _ = p.save(store, &out);
+                }
+                Some(out)
+            }
+            Err(e) => {
+                let Some(store) = store else { panic!("{e}") };
+                let _ = store.poison(&PoisonRecord {
+                    key: p.key(),
+                    label: p.label().to_string(),
+                    error: e.to_string(),
+                    attempts: 1,
+                    deadline_trips: 0,
+                });
+                None
+            }
+        }
+    });
+    let holes = points
+        .iter()
+        .zip(&results)
+        .filter(|(_, r)| r.is_none())
+        .map(|(p, _)| p.label().to_string())
+        .collect();
+    (results, holes)
 }
 
-/// Whether `stats` is the [`hole_stats`] sentinel.
-pub fn is_hole(stats: &SimStats) -> bool {
-    stats.cycles == 0
+/// Renders a value derived from simulation points, or `HOLE` when any
+/// point it derives from is a HOLE (`None`): a value derived from a
+/// poisoned point is garbage and must not masquerade as data.
+pub fn hole_cell<T>(v: Option<T>, fmt: impl FnOnce(T) -> String) -> String {
+    v.map_or_else(|| "HOLE".to_string(), fmt)
 }
 
-/// The sentinel [`ChipRun`](vr_chip::ChipRun) a poisoned chip point
-/// yields: [`hole_stats`] on every core, all-zero chip counters.
-pub fn hole_chip_run(cores: usize) -> vr_chip::ChipRun {
-    vr_chip::ChipRun { per_core: vec![hole_stats(); cores], chip: vr_chip::ChipStats::default() }
-}
-
-/// Whether `run` is (or contains a core of) the [`hole_chip_run`]
-/// sentinel — any zero-cycle core taints the whole chip's derived
-/// rates, exactly as [`is_hole`] does for one core.
-pub fn is_chip_hole(run: &vr_chip::ChipRun) -> bool {
-    run.per_core.iter().any(is_hole)
-}
-
-/// Renders `rendered` unless any of `deps` is a HOLE, in which case
-/// the cell reads `HOLE` — a value derived from a poisoned point is
-/// garbage and must not masquerade as data.
-pub fn holey(deps: &[&SimStats], rendered: String) -> String {
-    if deps.iter().any(|s| is_hole(s)) {
-        "HOLE".to_string()
-    } else {
-        rendered
-    }
+/// Aggregates a column of derived values with `f`, or `None` (a HOLE)
+/// if any value in the column is one.
+pub fn aggregate(col: &[Option<f64>], f: impl FnOnce(&[f64]) -> f64) -> Option<f64> {
+    col.iter().copied().collect::<Option<Vec<f64>>>().map(|v| f(&v))
 }
 
 /// The evaluation workload set: GAP kernels over the selected graph
@@ -699,22 +654,81 @@ mod tests {
     }
 
     #[test]
-    fn hole_sentinel_is_unambiguous_and_masks_derived_cells() {
-        let hole = hole_stats();
-        assert!(is_hole(&hole));
-        let real = run_technique(
-            &quick_workload_set()[7],
-            CoreConfig::table1(),
-            Technique::Baseline,
-            5_000,
-        );
-        assert!(!is_hole(&real), "a finished run always has cycles");
-        assert_eq!(holey(&[&real, &real], ratio(1.5)), "1.50x");
-        assert_eq!(holey(&[&real, &hole], ratio(1.5)), "HOLE");
-        assert_eq!(holey(&[], "ok".into()), "ok", "no deps, nothing to mask");
-        // The derived rates a figure would compute from a hole are
-        // zeros, not NaN/inf garbage.
-        assert_eq!(hole.speedup_over(&real), 0.0);
+    fn hole_cells_and_aggregates_render_hole_for_any_hole_input() {
+        assert_eq!(hole_cell(Some(1.5), ratio), "1.50x");
+        assert_eq!(hole_cell(None::<f64>, ratio), "HOLE");
+        let hm = |v: &[f64]| vr_core::harmonic_mean(v);
+        assert_eq!(aggregate(&[Some(1.0), Some(1.0)], hm), Some(1.0));
+        assert_eq!(aggregate(&[Some(1.0), None], hm), None, "one HOLE taints the column");
+        assert_eq!(aggregate(&[], |v| v.len() as f64), Some(0.0), "empty column is no HOLE");
+    }
+
+    fn tmp_store(tag: &str) -> (std::path::PathBuf, ResultStore) {
+        let dir =
+            std::env::temp_dir().join(format!("vr-bench-runner-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let store = ResultStore::open(&dir).expect("open store");
+        (dir, store)
+    }
+
+    fn runner_points() -> Vec<vr_campaign::CampaignPoint> {
+        let w = std::sync::Arc::new(quick_workload_set().swap_remove(7));
+        [Technique::Baseline, Technique::Vr]
+            .into_iter()
+            .map(|tech| {
+                let (mem, ra) = tech.configure();
+                vr_campaign::CampaignPoint {
+                    label: format!("t/{}/{}", w.name, tech.label()),
+                    workload: std::sync::Arc::clone(&w),
+                    core: CoreConfig::table1(),
+                    mem,
+                    ra,
+                    max_insts: 5_000,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn runner_matches_direct_simulation_and_serves_a_warm_store() {
+        let points = runner_points();
+        let direct: Vec<SimStats> = points
+            .iter()
+            .map(|p| run_custom(&p.workload, p.core.clone(), p.mem.clone(), p.ra.clone(), 5_000))
+            .collect();
+        let (plain, holes) = run_points(&points, None, 2);
+        assert!(holes.is_empty());
+        assert_eq!(plain, direct.iter().copied().map(Some).collect::<Vec<_>>());
+
+        let (dir, store) = tmp_store("warm");
+        let (cold, _) = run_points(&points, Some(&store), 2);
+        assert_eq!(store.counters().writes, 2, "a cold store saves every point");
+        let (warm, holes) = run_points(&points, Some(&store), 2);
+        assert!(holes.is_empty());
+        assert_eq!((cold, warm.clone()), (plain.clone(), plain));
+        assert_eq!(store.counters().hits, 2, "a warm store serves every point");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn runner_degrades_poisoned_points_to_labelled_holes() {
+        let points = runner_points();
+        let (dir, store) = tmp_store("poison");
+        store
+            .poison(&PoisonRecord {
+                key: points[1].key(),
+                label: points[1].label.clone(),
+                error: "injected".into(),
+                attempts: 1,
+                deadline_trips: 0,
+            })
+            .unwrap();
+        let (results, holes) = run_points(&points, Some(&store), 2);
+        assert!(results[0].is_some());
+        assert!(results[1].is_none(), "a poisoned point is a HOLE, not simulated");
+        assert_eq!(holes, [points[1].label.clone()]);
+        assert_eq!(store.counters().writes, 1, "only the healthy point is saved");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

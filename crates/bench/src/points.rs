@@ -1,17 +1,17 @@
-//! Campaign-point enumeration for the experiment figures.
+//! The simulation points of every experiment figure.
 //!
 //! [`campaign_points`] lists, for a figure id, every simulation point
-//! that figure will run — the set `experiments campaign run` drives
-//! through the result store so a later `--cache` figure invocation is
-//! pure cache hits.
+//! that figure runs, in a documented order. It is the figure's only
+//! description of what it simulates: `experiments <figure>` runs
+//! exactly this list once through [`crate::run_points`] and renders
+//! from the results positionally, and `experiments campaign run`
+//! drives the same list through the result store, so a later `--cache`
+//! figure invocation is pure cache hits by construction.
 //!
-//! The enumeration deliberately *mirrors* each figure body in
-//! `experiments.rs` rather than sharing code with it: the figures
-//! interleave simulation with rendering, and extracting a common
-//! driver would contort them. Drift between a figure and its
-//! enumeration is caught where it matters — the CLI integration test
-//! warms the cache via `campaign run` and then asserts the figure run
-//! reports **zero misses**.
+//! The variant tables below ([`ROB_SIZES`], [`VR_LANES`],
+//! [`MSHR_COUNTS`], [`breakdown_variants`], [`ablation_variants`]) are
+//! shared by enumeration and rendering: a figure's column count comes
+//! from the same table its points were built from.
 
 use std::sync::Arc;
 
@@ -53,6 +53,54 @@ pub const CACHED_FIGURES: &[&str] = &[
     "fig-mshr",
 ];
 
+/// ROB sizes `fig-rob` sweeps (back-end queues and PRF scaled in
+/// proportion).
+pub const ROB_SIZES: [usize; 5] = [128, 192, 224, 350, 512];
+
+/// Vector lengths (lanes) `fig-veclen` sweeps.
+pub const VR_LANES: [usize; 4] = [16, 32, 64, 128];
+
+/// L1-D MSHR counts `fig-mshr` sweeps.
+pub const MSHR_COUNTS: [usize; 4] = [8, 16, 24, 48];
+
+/// The `fig-breakdown` variants after its baseline point: VR and its
+/// two extensions, as `(label, configuration)`.
+pub fn breakdown_variants() -> [(&'static str, RunaheadConfig); 3] {
+    [
+        ("VR", RunaheadConfig::vector()),
+        ("eager", RunaheadConfig { eager_trigger: true, ..RunaheadConfig::vector() }),
+        (
+            "eager+discovery",
+            RunaheadConfig {
+                eager_trigger: true,
+                loop_bound_discovery: true,
+                ..RunaheadConfig::vector()
+            },
+        ),
+    ]
+}
+
+/// The `fig-ablation` variants after its baseline point: VR and its
+/// three design-choice ablations, as `(label, configuration)`.
+pub fn ablation_variants() -> [(&'static str, RunaheadConfig); 4] {
+    [
+        ("VR", RunaheadConfig::vector()),
+        ("no-pipe", RunaheadConfig { vir_pipelining: false, ..RunaheadConfig::vector() }),
+        ("reconv", RunaheadConfig { reconvergence: true, ..RunaheadConfig::vector() }),
+        ("bounded64", RunaheadConfig { termination_slack: Some(64), ..RunaheadConfig::vector() }),
+    ]
+}
+
+/// The full evaluation workload set for `o`: every GAP kernel on the
+/// selected presets plus the hpc-db kernels at paper scale, the quick
+/// set at test scale.
+pub fn full_workload_set(o: &FigureOpts) -> Vec<Workload> {
+    match o.scale {
+        Scale::Paper => workload_set(&o.presets),
+        Scale::Test => quick_workload_set(),
+    }
+}
+
 fn arcs(set: Vec<Workload>) -> Vec<Arc<Workload>> {
     set.into_iter().map(Arc::new).collect()
 }
@@ -82,9 +130,27 @@ fn tech_point(fig: &str, w: &Arc<Workload>, tech: Technique, insts: u64) -> Camp
 }
 
 /// Enumerates the simulation points of `figure` (a figure id from
-/// [`CACHED_FIGURES`], or `"all"` for their union). Returns `None`
-/// for ids with no cacheable points. Duplicate points across figures
-/// are fine — the engine dedups by fingerprint.
+/// [`CACHED_FIGURES`], or `"all"` for their union in that order).
+/// Returns `None` for ids with no cacheable points. Duplicate points
+/// across figures are fine — the engine dedups by fingerprint.
+///
+/// Each figure's points come in the order its renderer chunks them:
+///
+/// * `table2` — per graph preset (in [`GraphPreset::ALL`] order), the
+///   five GAP kernels on the baseline at half budget;
+/// * `fig-perf` — per workload of the full set, the five
+///   [`Technique::HEADLINE`] techniques;
+/// * `fig-rob` — per ROB size in [`ROB_SIZES`], per sweep workload,
+///   OoO then VR;
+/// * `fig-breakdown` / `fig-ablation` — per sweep workload, the
+///   baseline then each of [`breakdown_variants`] /
+///   [`ablation_variants`];
+/// * `fig-mlp` / `fig-accuracy` / `fig-interval` — per workload of the
+///   full set, OoO then VR; `fig-timeliness` — VR only;
+/// * `fig-veclen` — per sweep workload, the baseline then VR at each
+///   lane count in [`VR_LANES`];
+/// * `fig-mshr` — per sweep workload, per count in [`MSHR_COUNTS`],
+///   OoO then VR.
 pub fn campaign_points(figure: &str, o: &FigureOpts) -> Option<Vec<CampaignPoint>> {
     if figure != "all" && !CACHED_FIGURES.contains(&figure) {
         return None;
@@ -96,20 +162,13 @@ pub fn campaign_points(figure: &str, o: &FigureOpts) -> Option<Vec<CampaignPoint
     let needs_sweep = ["fig-rob", "fig-breakdown", "fig-veclen", "fig-ablation", "fig-mshr"]
         .iter()
         .any(|id| want(id));
-    let full: Vec<Arc<Workload>> = if needs_full {
-        match o.scale {
-            Scale::Paper => arcs(workload_set(&o.presets)),
-            Scale::Test => arcs(quick_workload_set()),
-        }
-    } else {
-        Vec::new()
+    let full = if needs_full { arcs(full_workload_set(o)) } else { Vec::new() };
+    let sweep = if needs_sweep { arcs(sweep_workload_set(o.scale)) } else { Vec::new() };
+    let table1 = |fig: &str, w: &Arc<Workload>, variant: &str, ra: RunaheadConfig| {
+        point(fig, w, variant, CoreConfig::table1(), MemConfig::table1(), ra, o.insts)
     };
-    let sweep: Vec<Arc<Workload>> =
-        if needs_sweep { arcs(sweep_workload_set(o.scale)) } else { Vec::new() };
     let mut pts = Vec::new();
 
-    // table2: all five presets' GAP kernels on the baseline at half
-    // budget (MPKI census).
     if want("table2") {
         for p in GraphPreset::ALL {
             for w in arcs(gap_suite(o.scale, p)) {
@@ -118,7 +177,6 @@ pub fn campaign_points(figure: &str, o: &FigureOpts) -> Option<Vec<CampaignPoint
         }
     }
 
-    // fig-perf: the headline five techniques on the full set.
     if want("fig-perf") {
         for w in &full {
             for tech in Technique::HEADLINE {
@@ -127,60 +185,28 @@ pub fn campaign_points(figure: &str, o: &FigureOpts) -> Option<Vec<CampaignPoint
         }
     }
 
-    // fig-rob: OoO + VR across the ROB sweep (350 doubles as the
-    // normalization baseline).
     if want("fig-rob") {
-        for rob in [128usize, 192, 224, 350, 512] {
+        for rob in ROB_SIZES {
             for w in &sweep {
                 let core = CoreConfig::with_rob_scaled(rob);
-                let (mem, ra) = Technique::Baseline.configure();
-                pts.push(point(
-                    "fig-rob",
-                    w,
-                    &format!("rob{rob}/OoO"),
-                    core.clone(),
-                    mem,
-                    ra,
-                    o.insts,
-                ));
-                let (mem, ra) = Technique::Vr.configure();
-                pts.push(point("fig-rob", w, &format!("rob{rob}/VR"), core, mem, ra, o.insts));
+                for tech in [Technique::Baseline, Technique::Vr] {
+                    let (mem, ra) = tech.configure();
+                    let variant = format!("rob{rob}/{}", tech.label());
+                    pts.push(point("fig-rob", w, &variant, core.clone(), mem, ra, o.insts));
+                }
             }
         }
     }
 
-    // fig-breakdown: baseline + the three VR extension variants.
     if want("fig-breakdown") {
         for w in &sweep {
             pts.push(tech_point("fig-breakdown", w, Technique::Baseline, o.insts));
-            let variants: [(&str, RunaheadConfig); 3] = [
-                ("VR", RunaheadConfig::vector()),
-                ("eager", RunaheadConfig { eager_trigger: true, ..RunaheadConfig::vector() }),
-                (
-                    "eager+discovery",
-                    RunaheadConfig {
-                        eager_trigger: true,
-                        loop_bound_discovery: true,
-                        ..RunaheadConfig::vector()
-                    },
-                ),
-            ];
-            for (name, ra) in variants {
-                pts.push(point(
-                    "fig-breakdown",
-                    w,
-                    name,
-                    CoreConfig::table1(),
-                    MemConfig::table1(),
-                    ra,
-                    o.insts,
-                ));
+            for (name, ra) in breakdown_variants() {
+                pts.push(table1("fig-breakdown", w, name, ra));
             }
         }
     }
 
-    // fig-mlp / fig-accuracy / fig-interval: baseline vs VR on the
-    // full set; fig-timeliness: VR only.
     for (fig, techs) in [
         ("fig-mlp", &[Technique::Baseline, Technique::Vr][..]),
         ("fig-accuracy", &[Technique::Baseline, Technique::Vr][..]),
@@ -196,75 +222,43 @@ pub fn campaign_points(figure: &str, o: &FigureOpts) -> Option<Vec<CampaignPoint
         }
     }
 
-    // fig-veclen: baseline + the vector-length sweep.
     if want("fig-veclen") {
         for w in &sweep {
             pts.push(tech_point("fig-veclen", w, Technique::Baseline, o.insts));
-            for k in [16usize, 32, 64, 128] {
+            for k in VR_LANES {
                 let ra = RunaheadConfig { vr_lanes: k, ..RunaheadConfig::vector() };
-                pts.push(point(
-                    "fig-veclen",
-                    w,
-                    &format!("K{k}"),
-                    CoreConfig::table1(),
-                    MemConfig::table1(),
-                    ra,
-                    o.insts,
-                ));
+                pts.push(table1("fig-veclen", w, &format!("K{k}"), ra));
             }
         }
     }
 
-    // fig-ablation: baseline + the four design-choice variants.
     if want("fig-ablation") {
         for w in &sweep {
             pts.push(tech_point("fig-ablation", w, Technique::Baseline, o.insts));
-            let variants: [(&str, RunaheadConfig); 4] = [
-                ("VR", RunaheadConfig::vector()),
-                ("no-pipe", RunaheadConfig { vir_pipelining: false, ..RunaheadConfig::vector() }),
-                ("reconv", RunaheadConfig { reconvergence: true, ..RunaheadConfig::vector() }),
-                (
-                    "bounded64",
-                    RunaheadConfig { termination_slack: Some(64), ..RunaheadConfig::vector() },
-                ),
-            ];
-            for (name, ra) in variants {
-                pts.push(point(
-                    "fig-ablation",
-                    w,
-                    name,
-                    CoreConfig::table1(),
-                    MemConfig::table1(),
-                    ra,
-                    o.insts,
-                ));
+            for (name, ra) in ablation_variants() {
+                pts.push(table1("fig-ablation", w, name, ra));
             }
         }
     }
 
-    // fig-mshr: none vs vector at each MSHR count.
     if want("fig-mshr") {
         for w in &sweep {
-            for m in [8usize, 16, 24, 48] {
+            for m in MSHR_COUNTS {
                 let mem = MemConfig { mshrs: m, ..MemConfig::table1() };
-                pts.push(point(
-                    "fig-mshr",
-                    w,
-                    &format!("m{m}/OoO"),
-                    CoreConfig::table1(),
-                    mem.clone(),
-                    RunaheadConfig::none(),
-                    o.insts,
-                ));
-                pts.push(point(
-                    "fig-mshr",
-                    w,
-                    &format!("m{m}/VR"),
-                    CoreConfig::table1(),
-                    mem,
-                    RunaheadConfig::vector(),
-                    o.insts,
-                ));
+                for (tech, ra) in
+                    [("OoO", RunaheadConfig::none()), ("VR", RunaheadConfig::vector())]
+                {
+                    let variant = format!("m{m}/{tech}");
+                    pts.push(point(
+                        "fig-mshr",
+                        w,
+                        &variant,
+                        CoreConfig::table1(),
+                        mem.clone(),
+                        ra,
+                        o.insts,
+                    ));
+                }
             }
         }
     }

@@ -45,6 +45,10 @@ pub struct Report {
     /// found an architectural mismatch); the driver exits non-zero
     /// after printing and exporting.
     pub failed: bool,
+    /// Labels of the points this report rendered as HOLEs (from
+    /// [`crate::run_points`]); the driver lists them on stderr. Not
+    /// exported: a degraded figure's cells already read `HOLE`.
+    pub holes: Vec<String>,
 }
 
 impl Report {
@@ -57,6 +61,7 @@ impl Report {
             metrics: Vec::new(),
             extra: Vec::new(),
             failed: false,
+            holes: Vec::new(),
         }
     }
 
@@ -79,6 +84,21 @@ impl Report {
     /// Records a derived numeric metric (exported under `"metrics"`).
     pub fn metric(&mut self, name: &str, v: f64) {
         self.metrics.push((name.to_string(), v));
+    }
+
+    /// Records `v` as metric `name` and renders it with `fmt` — or, when
+    /// `v` derives from a HOLE (`None`), records nothing and renders
+    /// `HOLE` (see [`crate::hole_cell`]).
+    pub fn metric_cell(
+        &mut self,
+        name: &str,
+        v: Option<f64>,
+        fmt: impl FnOnce(f64) -> String,
+    ) -> String {
+        if let Some(v) = v {
+            self.metric(name, v);
+        }
+        crate::hole_cell(v, fmt)
     }
 
     /// Attaches an arbitrary JSON sub-document (e.g. a telemetry

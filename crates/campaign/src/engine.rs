@@ -43,6 +43,7 @@ use vr_core::{CoreConfig, RunaheadConfig, SimError, SimStats, Simulator, StopFla
 use vr_isa::SplitMix64;
 use vr_mem::MemConfig;
 use vr_obs::{Json, CAMPAIGN_SCHEMA};
+use vr_pool::WorkerPool;
 use vr_workloads::Workload;
 
 use crate::fingerprint::{point_key, PointKey};
@@ -520,9 +521,11 @@ impl Shared<'_> {
 /// simulation trouble — a worker panic (an executor bug) does
 /// propagate to the caller, matching `parallel_map`.
 ///
-/// Spawns fresh worker threads per call; long-running drivers (the
-/// serve loop, repeated figure sweeps) should hold a [`WorkerPool`]
-/// and use [`run_campaign_on`] to amortize the spawn cost.
+/// With one worker and no deadline the campaign runs inline on the
+/// calling thread (fully deterministic ordering); otherwise a
+/// [`WorkerPool`] is spawned for this call. Long-running drivers (the
+/// serve loop) should hold a pool and use [`run_campaign_on`] to
+/// amortize the spawn cost.
 pub fn run_campaign<P: SweepPoint, E: Executor<P>>(
     points: &[P],
     store: &ResultStore,
@@ -531,19 +534,34 @@ pub fn run_campaign<P: SweepPoint, E: Executor<P>>(
     cancel: &CancelToken,
     progress: Option<ProgressSink<'_>>,
 ) -> CampaignOutcome {
-    run_campaign_on(None, points, store, exec, cfg, cancel, progress)
+    let threads = cfg.resolved_threads(points.len());
+    let pool = (threads > 1 || cfg.point_deadline.is_some()).then(|| WorkerPool::new(threads));
+    drive(pool.as_ref(), points, store, exec, cfg, cancel, progress)
 }
 
 /// [`run_campaign`] on a caller-provided [`WorkerPool`]: the campaign
-/// workers run as a broadcast job on `pool`'s persistent threads
-/// instead of freshly spawned ones, so back-to-back campaigns (one per
-/// serve manifest, one per figure) pay the thread-spawn cost once per
-/// process. `pool: None` falls back to scoped spawning; the effective
-/// worker count is additionally capped by the pool size. Results are
-/// identical either way — the scheduler only changes *where* workers
-/// run.
+/// workers run as a broadcast job on `pool`'s persistent threads, so
+/// back-to-back campaigns (one per serve manifest) pay the
+/// thread-spawn cost once per process. The effective worker count is
+/// additionally capped by the pool size. Results are identical to
+/// [`run_campaign`] — the scheduler only changes *where* workers run.
 pub fn run_campaign_on<P: SweepPoint, E: Executor<P>>(
-    pool: Option<&vr_pool::WorkerPool>,
+    pool: &WorkerPool,
+    points: &[P],
+    store: &ResultStore,
+    exec: &E,
+    cfg: &EngineConfig,
+    cancel: &CancelToken,
+    progress: Option<ProgressSink<'_>>,
+) -> CampaignOutcome {
+    drive(Some(pool), points, store, exec, cfg, cancel, progress)
+}
+
+/// The engine body. `pool` is `None` only when [`run_campaign`] found
+/// no worker threads needed (one worker, no deadline), which is
+/// exactly the inline path.
+fn drive<P: SweepPoint, E: Executor<P>>(
+    pool: Option<&WorkerPool>,
     points: &[P],
     store: &ResultStore,
     exec: &E,
@@ -562,10 +580,7 @@ pub fn run_campaign_on<P: SweepPoint, E: Executor<P>>(
     }
     let duplicates = (points.len() - unique.len()) as u64;
     let total = unique.len() as u64;
-    let mut threads = cfg.resolved_threads(unique.len());
-    if let Some(pool) = pool {
-        threads = threads.min(pool.size());
-    }
+    let threads = cfg.resolved_threads(unique.len()).min(pool.map_or(1, WorkerPool::size));
 
     let shared = Shared {
         queue: Mutex::new(unique.iter().copied().collect()),
@@ -587,16 +602,16 @@ pub fn run_campaign_on<P: SweepPoint, E: Executor<P>>(
     if threads == 1 && cfg.point_deadline.is_none() {
         // Fully deterministic inline path (chaos tests depend on it).
         worker(points, &shared, exec, 0);
-    } else if let Some(pool) = pool {
+    } else {
+        let pool = pool.expect("run_campaign spawns a pool whenever workers are needed");
         let shared = &shared;
         let job = move |slot: usize| worker(points, shared, exec, slot);
         if let Some(deadline) = cfg.point_deadline {
             // The driving thread is busy inside `pool.run`, so the
             // supervisor gets its own scoped thread, watching a done
-            // flag instead of join handles. The drop guard raises the
-            // flag even when a worker panic unwinds out of `pool.run`,
-            // so the supervisor always exits and the scope can join it
-            // (then re-raise the panic).
+            // flag. The drop guard raises the flag even when a worker
+            // panic unwinds out of `pool.run`, so the supervisor always
+            // exits and the scope can join it (then re-raise the panic).
             struct RaiseOnDrop<'a>(&'a AtomicBool);
             impl Drop for RaiseOnDrop<'_> {
                 fn drop(&mut self) {
@@ -606,30 +621,13 @@ pub fn run_campaign_on<P: SweepPoint, E: Executor<P>>(
             let done = AtomicBool::new(false);
             std::thread::scope(|scope| {
                 let done = &done;
-                scope.spawn(move || {
-                    supervise(shared, deadline, || done.load(Ordering::Acquire));
-                });
+                scope.spawn(move || supervise(shared, deadline, done));
                 let _raise = RaiseOnDrop(done);
                 pool.run(threads, &job);
             });
         } else {
             pool.run(threads, &job);
         }
-    } else {
-        std::thread::scope(|scope| {
-            let shared = &shared;
-            let handles: Vec<_> = (0..threads)
-                .map(|slot| scope.spawn(move || worker(points, shared, exec, slot)))
-                .collect();
-            // The driving thread doubles as the supervisor; with no
-            // deadline the scope just joins the workers (and
-            // propagates any panic).
-            if let Some(deadline) = cfg.point_deadline {
-                supervise(shared, deadline, || {
-                    handles.iter().all(std::thread::ScopedJoinHandle::is_finished)
-                });
-            }
-        });
     }
 
     // Deterministic orders regardless of worker interleaving.
@@ -654,15 +652,11 @@ pub fn run_campaign_on<P: SweepPoint, E: Executor<P>>(
 
 /// The deadline supervisor: polls every worker's in-flight slot and
 /// trips the [`StopFlag`] of any attempt past its wall-clock budget.
-/// Runs until `all_done` reports every worker has exited (join-handle
-/// census on the scoped path, a done flag on the pooled path); pure
+/// Runs until `done` is raised (every worker has exited); pure
 /// observation plus one atomic store, so it can never wedge a worker.
-fn supervise(shared: &Shared<'_>, deadline: Duration, all_done: impl Fn() -> bool) {
+fn supervise(shared: &Shared<'_>, deadline: Duration, done: &AtomicBool) {
     let poll = (deadline / 8).clamp(Duration::from_millis(1), Duration::from_millis(50));
-    loop {
-        if all_done() {
-            return;
-        }
+    while !done.load(Ordering::Acquire) {
         for slot in &shared.inflight {
             let guard = slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             if let Some(fl) = guard.as_ref() {

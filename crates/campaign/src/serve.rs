@@ -410,7 +410,7 @@ fn drive<P: SweepPoint, E: Executor<P>>(
 ) -> (usize, CampaignOutcome) {
     let enumerated = points.len();
     let owned: Vec<P> = points.into_iter().filter(|p| cfg.shard.owns(p.key())).collect();
-    let outcome = run_campaign_on(Some(pool), &owned, store, exec, &cfg.engine, cancel, None);
+    let outcome = run_campaign_on(pool, &owned, store, exec, &cfg.engine, cancel, None);
     (enumerated, outcome)
 }
 
